@@ -41,10 +41,6 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
   net_ = std::make_unique<net::Network>(sim_, opts_.config.topology,
                                         opts_.config.links,
                                         opts_.config.contention);
-  if (opts_.net_jobs > 1) {
-    net_pool_ = std::make_unique<runner::ThreadPool>(opts_.net_jobs);
-    net_->set_thread_pool(net_pool_.get());
-  }
   master_ = std::make_unique<mapreduce::Master>(sim_, *net_, opts_.config,
                                                 failure_, scheduler, rng_,
                                                 opts_.source_selection);

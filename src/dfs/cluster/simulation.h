@@ -12,7 +12,6 @@
 #include "dfs/mapreduce/master.h"
 #include "dfs/mapreduce/speed_model.h"
 #include "dfs/net/network.h"
-#include "dfs/runner/thread_pool.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/storage/degraded.h"
 #include "dfs/storage/failure.h"
@@ -50,12 +49,6 @@ struct ClusterOptions {
   /// Job-queue ordering policy: "fifo" (the default — no policy object is
   /// even installed), "fair", or "fair:w0,w1,..." per-tenant weights.
   std::string admission = "fifo";
-  /// Worker threads for the network's fair-share component recompute. At 1
-  /// (the default) everything runs inline; above 1 the simulation owns a
-  /// dedicated ThreadPool and independent congestion components are water-
-  /// filled concurrently. Output is byte-identical at any setting — the
-  /// components are disjoint, so only wall-clock changes.
-  int net_jobs = 1;
 
   ClusterOptions();  ///< fills config/arrivals/lifecycle with §V-B defaults
 };
@@ -86,10 +79,6 @@ class ClusterSimulation {
   util::Rng rng_;
   sim::Simulator sim_;
   storage::FailureScenario failure_;  ///< shared time-varying health view
-  /// Dedicated pool for the network's component recompute (never shared
-  /// with a seed-sweep pool: Network::wait_idle on a pool whose worker is
-  /// running this simulation would deadlock). Null when net_jobs <= 1.
-  std::unique_ptr<runner::ThreadPool> net_pool_;
   std::unique_ptr<net::Network> net_;
   /// Owns the master's admission policy; null for FIFO (no policy at all).
   std::unique_ptr<core::AdmissionPolicy> admission_policy_;

@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "dfs/runner/thread_pool.h"
 #include "dfs/util/jsonl.h"
 
 namespace dfs::net {
@@ -321,7 +320,6 @@ void Network::fair_share_batched_recompute() {
   const util::Epoch::Ticket epoch = visit_epoch_.bump();
   comp_links_.clear();
   comp_classes_.clear();
-  comp_ranges_.clear();
   for (const int seed : dirty_links_) {
     link_dirty_[static_cast<std::size_t>(seed)] = 0;
     if (link_visit_[static_cast<std::size_t>(seed)] == epoch) continue;
@@ -347,30 +345,14 @@ void Network::fair_share_batched_recompute() {
     }
     comp.links_end = comp_links_.size();
     comp.classes_end = comp_classes_.size();
-    comp_ranges_.push_back(comp);
-    // Counters stay on the deterministic collection path, not in the
-    // (possibly concurrent) water-filling passes.
     if (comp.classes_end - comp.classes_begin == 1) {
       ++fast_paths_;
     } else {
       ++component_recomputes_;
     }
+    fair_share_waterfill_component(comp);
   }
   dirty_links_.clear();
-  // Components are disjoint in links, classes, and scratch slots, so the
-  // passes commute; fan out when a dedicated pool is attached. Rates are
-  // identical either way — the allocation per component does not depend on
-  // execution order or interleaving.
-  if (pool_ != nullptr && pool_->threads() > 1 && comp_ranges_.size() > 1) {
-    for (const ComponentRange& comp : comp_ranges_) {
-      pool_->submit([this, comp] { fair_share_waterfill_component(comp); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (const ComponentRange& comp : comp_ranges_) {
-      fair_share_waterfill_component(comp);
-    }
-  }
   if (cross_check_) fair_share_cross_check();
   fair_share_arm();
 }

@@ -15,10 +15,6 @@ namespace dfs::util {
 class JsonlWriter;
 }
 
-namespace dfs::runner {
-class ThreadPool;
-}
-
 namespace dfs::net {
 
 /// How concurrent transfers share a link.
@@ -119,18 +115,6 @@ class Network {
 
   ContentionModel model() const { return model_; }
   const Topology& topology() const { return topology_; }
-
-  /// Fan the per-component water-filling passes of a batched recompute
-  /// across `pool`'s workers. Components are independent by construction
-  /// (disjoint links and classes — that's why component-scoped recompute is
-  /// exact), and each pass writes only its own component's state, so the
-  /// resulting rates are identical to the serial engine at any worker
-  /// count; components are still collected (and counted) in deterministic
-  /// seed order. nullptr, or a pool with fewer than two workers, keeps the
-  /// serial path. The pool must be DEDICATED to this network: the recompute
-  /// blocks on wait_idle(), so handing it a pool whose worker is currently
-  /// running this simulation (e.g. the seed-sweep pool) deadlocks.
-  void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
   /// Debug mode: after every batched fair-share recompute, re-derive every
   /// rate with a naive per-flow water-filling pass over the whole active set
@@ -239,8 +223,7 @@ class Network {
     std::size_t classes_end = 0;
   };
   /// Water-fill one component. Touches only that component's classes and
-  /// scratch slots (disjoint across components), so concurrent calls on
-  /// different components are race-free.
+  /// scratch slots (disjoint across components).
   void fair_share_waterfill_component(const ComponentRange& comp);
   void fair_share_arm();
   void fair_share_on_completion();
@@ -310,8 +293,6 @@ class Network {
   std::vector<util::Epoch::Ticket> link_visit_;
   std::vector<int> comp_links_;    ///< doubles as the flood-fill queue
   std::vector<int> comp_classes_;
-  std::vector<ComponentRange> comp_ranges_;  ///< components of this batch
-  runner::ThreadPool* pool_ = nullptr;  ///< dedicated recompute pool or null
   std::vector<double> scratch_residual_;
   std::vector<int> scratch_count_;
   std::vector<int> scratch_touched_;  ///< naive reference pass only

@@ -1,12 +1,11 @@
 #!/bin/sh
 # Scale-tier determinism gate: a 1000-slave dfscluster run must be
 # byte-identical across worker-thread counts and across repeated same-seed
-# runs. This is what lets the parallel fair-share component recompute and
-# the multi-threaded seed sweep coexist with the golden-corpus contract at
-# sizes the corpus itself (pinned to the paper's 40-node cluster) never
-# reaches. Only the echoed --jsonl path differs between invocations, so the
-# stdout comparison strips that one line and the JSONL bytes are compared
-# whole.
+# runs. This extends the golden-corpus contract to sizes the corpus itself
+# (pinned to the paper's 40-node cluster) never reaches; a single-seed run
+# is one sweep cell, so the repeat leg checks same-seed identity. Only the
+# echoed --jsonl path differs between invocations, so the stdout comparison
+# strips that one line and the JSONL bytes are compared whole.
 #
 # Usage: scale_determinism.sh <tools_dir>
 set -eu

@@ -1,0 +1,96 @@
+#!/bin/sh
+# Flag-probe gate for dfsim and dfscluster, generated from each tool's
+# --help table rather than from a hand-kept list. For every numeric flag it
+# passes nan, a number with trailing junk, a value just outside the printed
+# range, and no value at all; every choice flag gets an unknown option; each
+# tool also gets an unknown flag and a stray positional argument. Every probe
+# must exit 1 within 10 s with an error on stderr that names the flag (and,
+# for a bad value, its range). The motivating defects are checked by name
+# at the end: NaN horizons that never terminated, and atoi/atof quietly
+# reading "abc" as 0 or "3x" as 3.
+#
+# Usage: tool_flags.sh <tools_dir>
+set -u
+
+TOOLS_DIR=$1
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+probes=0
+failures=0
+
+# expect_error <tool> <flag> <range|""> [args...]
+expect_error() {
+  tool=$1 flag=$2 range=$3
+  shift 3
+  probes=$((probes + 1))
+  timeout 10 "$TOOLS_DIR/$tool" "$@" > "$WORK/out" 2> "$WORK/err"
+  rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: $tool $*: exit $rc, want 1 (124 = killed after 10 s)" >&2
+    failures=$((failures + 1))
+  elif ! grep -q -F -- "$flag" "$WORK/err" ||
+       { [ -n "$range" ] && ! grep -q -F -- "$range" "$WORK/err"; }; then
+    echo "FAIL: $tool $*: error does not name $flag $range:" >&2
+    cat "$WORK/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+# outside <range>: a number just outside a range like "[1,inf)", "(0,1]" or
+# "0|(1,inf)" (the last interval counts; for "AxB" list ranges, the first).
+outside() {
+  echo "$1" | awk '{
+    r = $0; sub(/^.*\|/, "", r); sub(/x.*$/, "", r)
+    lo_closed = substr(r, 1, 1) == "["; hi_closed = substr(r, length(r)) == "]"
+    split(substr(r, 2, length(r) - 2), b, ",")
+    if (b[1] != "-inf") print (lo_closed ? b[1] - 1 : b[1])
+    else print (hi_closed ? b[2] + 1 : b[2])
+  }'
+}
+
+for tool in dfsim dfscluster; do
+  if ! timeout 10 "$TOOLS_DIR/$tool" --help > "$WORK/help"; then
+    echo "FAIL: $tool --help did not exit 0" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  # Rows read "--name kind range default meaning...".
+  awk '$1 ~ /^--/ && $2 ~ /^(int|num)/ { print $1, $2, $3 }' "$WORK/help" \
+    > "$WORK/numeric"
+  if [ ! -s "$WORK/numeric" ]; then
+    echo "FAIL: $tool --help lists no numeric flags" >&2
+    failures=$((failures + 1))
+  fi
+  while read -r flag kind range; do
+    bad=$(outside "$range")
+    # A fixed-length list ("num,num") gets the bad value in every slot.
+    value=$bad
+    case $kind in *,num*) value=$(echo "$kind" | sed "s/num/$bad/g") ;; esac
+    expect_error "$tool" "$flag" "$range" "$flag" nan
+    expect_error "$tool" "$flag" "$range" "$flag" 1x
+    expect_error "$tool" "$flag" "$range" "$flag" "$value"
+    expect_error "$tool" "$flag" "" "$flag"
+  done < "$WORK/numeric"
+  awk '$1 ~ /^--/ && $2 == "choice" { print $1, $3 }' "$WORK/help" \
+    > "$WORK/choice"
+  while read -r flag options; do
+    expect_error "$tool" "$flag" "$options" "$flag" bogus
+  done < "$WORK/choice"
+  expect_error "$tool" --no-such-flag "" --no-such-flag 1
+  expect_error "$tool" stray "" stray
+done
+
+# The defects that motivated the strict parser, by name.
+expect_error dfscluster --hours "(0,inf)" --hours nan
+expect_error dfsim --heartbeat "(0,inf)" --heartbeat nan
+expect_error dfscluster --seed "[0,inf)" --seed abc
+expect_error dfsim --racks "[1,inf)" --racks 3x
+expect_error dfsim --sources "random|samerack" --sources bogus
+expect_error dfsim stray "" --seeds 1 stray
+expect_error dfscluster stray "" --hours 0.1 stray
+
+if [ "$failures" -ne 0 ]; then
+  echo "tool_flags: $failures of $probes probes failed" >&2
+  exit 1
+fi
+echo "tool_flags: all $probes probes exit 1 and name the flag"

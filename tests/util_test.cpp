@@ -7,6 +7,7 @@
 
 #include "dfs/util/args.h"
 #include "dfs/util/epoch.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/jsonl.h"
 #include "dfs/util/rng.h"
 #include "dfs/util/stale_queue.h"
@@ -465,6 +466,152 @@ TEST(Args, SplitBasics) {
   EXPECT_EQ(split("lone", ','), (std::vector<std::string>{"lone"}));
   EXPECT_EQ(split("", ','), (std::vector<std::string>{}));
   EXPECT_EQ(split("x,,y", ','), (std::vector<std::string>{"x", "", "y"}));
+}
+
+// --- flag table --------------------------------------------------------------
+
+struct ToolFlags {
+  int racks = 4;
+  double heartbeat = 3.0;
+  std::vector<double> time{20.0, 1.0};
+  std::vector<double> shares;
+  double alpha = 0.0;
+  std::string contention = "fair";
+  std::optional<std::string> csv;
+  bool speculate = false;
+  FlagTable table{"tool", "test tool"};
+
+  ToolFlags() {
+    table.integer("racks", &racks, "[1,inf)", "racks");
+    table.number("heartbeat", &heartbeat, "(0,inf)", "seconds");
+    table.numbers("time", &time, {"(0,inf)", "[0,inf)"}, "MEAN,SD");
+    table.numbers("shares", &shares, {"(0,inf)"}, "weights");
+    table.number("alpha", &alpha, "0|(1,inf)", "0 or > 1");
+    table.choice("contention", &contention, {"fair", "fifo"}, "model");
+    table.text("csv", &csv, "path");
+    table.toggle("speculate", &speculate, "on/off");
+  }
+
+  // Parses `parts`; returns the exit status (-1 = run) and captures stderr.
+  int parse(const std::vector<const char*>& parts, std::string* err) {
+    std::vector<const char*> v{"prog"};
+    v.insert(v.end(), parts.begin(), parts.end());
+    ::testing::internal::CaptureStderr();
+    const auto status = table.parse(static_cast<int>(v.size()), v.data());
+    *err = ::testing::internal::GetCapturedStderr();
+    return status.value_or(-1);
+  }
+};
+
+TEST(FlagTable, FillsTargetsAndKeepsDefaults) {
+  ToolFlags f;
+  std::string err;
+  EXPECT_EQ(f.parse({"--racks", "3", "--time=10,0", "--contention", "fifo",
+                     "--csv", "out", "--speculate", "--shares", "3,1"},
+                    &err),
+            -1);
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(f.racks, 3);
+  EXPECT_DOUBLE_EQ(f.heartbeat, 3.0);
+  EXPECT_EQ(f.time, (std::vector<double>{10.0, 0.0}));
+  EXPECT_EQ(f.shares, (std::vector<double>{3.0, 1.0}));
+  EXPECT_EQ(f.contention, "fifo");
+  EXPECT_EQ(f.csv, "out");
+  EXPECT_TRUE(f.speculate);
+}
+
+TEST(FlagTable, RejectsMalformedValuesNamingFlagAndBound) {
+  const std::vector<std::vector<const char*>> bad = {
+      {"--racks", "3x"},      {"--racks", "abc"},   {"--racks", "0"},
+      {"--racks", " 3"},      {"--racks", "99999999999"},
+      {"--heartbeat", "nan"}, {"--heartbeat", "inf"},
+      {"--heartbeat", "0"},   {"--heartbeat", ""},
+      {"--time", "10"},       {"--time", "0,1"},    {"--time", "10,-1"},
+      {"--shares", "1,,2"},   {"--shares", "1,0"},
+      {"--contention", "bogus"}};
+  std::string err;
+  for (const auto& args : bad) {
+    EXPECT_EQ(ToolFlags().parse(args, &err), 1) << args[0] << " " << args[1];
+    EXPECT_NE(err.find(std::string(args[0]) + ":"), std::string::npos) << err;
+    EXPECT_EQ(err.rfind("tool: ", 0), 0u) << err;
+  }
+  ToolFlags f;
+  f.parse({"--heartbeat", "nan"}, &err);
+  EXPECT_EQ(err,
+            "tool: --heartbeat: expected num in (0,inf), got 'nan'\n");
+  f.parse({"--time", "1,2,3"}, &err);
+  EXPECT_NE(err.find("expected num,num in (0,inf)x[0,inf)"),
+            std::string::npos)
+      << err;
+}
+
+TEST(FlagTable, RejectsCommandLineShapeErrors) {
+  std::string err;
+  EXPECT_EQ(ToolFlags().parse({"--racks"}, &err), 1);
+  EXPECT_NE(err.find("--racks: missing value"), std::string::npos) << err;
+  EXPECT_EQ(ToolFlags().parse({"--racks", "--speculate"}, &err), 1);
+  EXPECT_NE(err.find("--racks: missing value"), std::string::npos) << err;
+  EXPECT_EQ(ToolFlags().parse({"--tpyo", "1"}, &err), 1);
+  EXPECT_NE(err.find("unknown flag --tpyo"), std::string::npos) << err;
+  EXPECT_EQ(ToolFlags().parse({"stray"}, &err), 1);
+  EXPECT_NE(err.find("'stray'"), std::string::npos) << err;
+  // A switch takes no value, so a following token is a stray positional.
+  EXPECT_EQ(ToolFlags().parse({"--speculate", "yes"}, &err), 1);
+  EXPECT_NE(err.find("'yes'"), std::string::npos) << err;
+  EXPECT_EQ(ToolFlags().parse({"--speculate=yes"}, &err), 1);
+  EXPECT_NE(err.find("--speculate takes no value"), std::string::npos);
+  EXPECT_EQ(ToolFlags().parse({"--racks", "2", "--racks", "3"}, &err), 1);
+  EXPECT_NE(err.find("--racks given more than once"), std::string::npos);
+}
+
+TEST(FlagTable, CollectsPositionalsWhenAsked) {
+  ToolFlags f;
+  const auto v = argv_of({"encode", "--racks", "2", "in", "out"});
+  std::vector<std::string> pos;
+  EXPECT_FALSE(f.table.parse(static_cast<int>(v.size()), v.data(), &pos));
+  EXPECT_EQ(pos, (std::vector<std::string>{"encode", "in", "out"}));
+  EXPECT_EQ(f.racks, 2);
+}
+
+TEST(FlagTable, HelpListsEveryRowWithKindRangeAndDefault) {
+  ToolFlags f;
+  ::testing::internal::CaptureStdout();
+  std::string err;
+  EXPECT_EQ(f.parse({"--racks", "bad", "--help"}, &err), 0);
+  const std::string help = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(help.rfind("tool - test tool\n", 0), 0u) << help;
+  for (const char* row :
+       {"--racks       int      [1,inf)          4",
+        "--heartbeat   num      (0,inf)          3",
+        "--time        num,num  (0,inf)x[0,inf)  20,1",
+        "--shares      num,...  (0,inf)          -",
+        "--contention  choice   fair|fifo        fair",
+        "--csv         text     -                -",
+        "--speculate   switch   -                off"}) {
+    EXPECT_NE(help.find(row), std::string::npos) << row << "\n" << help;
+  }
+}
+
+TEST(FlagTable, BoundsAcceptOneExtraPoint) {
+  std::string err;
+  for (const char* ok : {"0", "1.5", "1e9"}) {
+    ToolFlags f;
+    EXPECT_EQ(f.parse({"--alpha", ok}, &err), -1) << ok << err;
+  }
+  for (const char* bad : {"1", "0.5", "-1"}) {
+    EXPECT_EQ(ToolFlags().parse({"--alpha", bad}, &err), 1) << bad;
+    EXPECT_NE(err.find("0|(1,inf)"), std::string::npos) << err;
+  }
+}
+
+TEST(FlagTable, MalformedBoundIsAProgrammingError) {
+  FlagTable table("tool", "test tool");
+  int v = 0;
+  EXPECT_THROW(table.integer("x", &v, "1,inf", "no brackets"),
+               std::invalid_argument);
+  EXPECT_THROW(table.integer("x", &v, "[a,inf)", "bad number"),
+               std::invalid_argument);
 }
 
 TEST(Jsonl, RecordShapeMatchesInlineStreaming) {

@@ -6,94 +6,9 @@
 //   dfscluster --hours 6 --arrivals pareto --interarrival 30 --mttf-hours 3
 //              --scheduler lf --jsonl out/run.jsonl --csv out/timeline.csv
 //
-// Flags (defaults give the paper's §V-B cluster under moderate sustained
-// load — about half the map slots busy):
-//   --hours X             admission + failure window          [2]
-//   --warmup X            warm-up cutoff in seconds           [600]
-//   --scheduler S         lf | df | edf (or any dfsim name)   [df]
-//   --seed N              base RNG seed                       [1]
-//   --seeds N             independent runs (seed, seed+1, …)  [1]
-//   --jobs N              worker threads for the seed sweep and the
-//                         network's fair-share component recompute
-//                         [all hardware threads; per-seed reports and JSONL
-//                          records always come out in seed order and the
-//                          recompute is order-insensitive, so output is
-//                          byte-identical for any value]
-//   --slaves N            total slave nodes; racks = N / nodes-per-rack
-//                         [40 — the paper's §V-B cluster. The scale tier
-//                          (10000 slaves, ~1M map tasks over a few hours)
-//                          is a supported, benchmarked configuration; see
-//                          bench/scale_regression and docs/performance.md]
-//   --nodes-per-rack N    rack width when --slaves is given       [10]
-//   --rack-gbps X         rack up/down link bandwidth, Gbps       [1]
-//   --arrivals M          poisson | pareto | diurnal          [poisson]
-//   --interarrival X      mean gap between jobs, seconds      [60]
-//   --pareto-alpha X      Pareto shape (> 1)                  [1.5]
-//   --diurnal-amplitude X rate swing in [0, 1)                [0.5]
-//   --diurnal-period X    modulation period, seconds          [86400]
-//   --blocks N            native blocks per job (= map tasks) [240]
-//   --reducers N          reduce tasks per job                [10]
-//   --mttf-hours X        per-node mean time to failure       [6]
-//   --repair-delay X      mean failure-to-repair-start delay  [60]
-//   --rack-failures X     fraction of failures taking a rack  [0]
-//   --repair N            block repairs in flight per event   [4]
-//   --sample-interval X   timeline sampling period, seconds   [60]
-//   --speed-profile SPEC  per-slave speed profile: uniform |
-//                         bimodal:FRAC,SLOWDOWN[,SEED] (FRAC of the slaves
-//                         run SLOWDOWN x slower; SEED shuffles which ones) |
-//                         vector:F0,F1,... (explicit per-node factors,
-//                         tiled over the slaves)            [uniform]
-//   --tenants N           tenant classes in the arrival stream; jobs are
-//                         tagged round-robin by arrival share  [0 = single]
-//   --tenant-shares W,..  per-class arrival shares (default: equal)
-//   --tenant-scales S,..  per-class job-size multipliers (default: 1)
-//   --admission P         job-queue ordering: fifo | fair |
-//                         fair:w0,w1,... (per-tenant weights)  [fifo]
-//   --skew S              Zipf exponent for block placement — rack 0 is the
-//                         hottest, so degraded reads concentrate there
-//                         [0 = the classic uniform random placement]
-//   --jsonl PATH          write the full run as JSON lines
-//   --net-stats           add a per-seed "net_stats" JSONL record with the
-//                         network engine counters (flows, recompute/fast-path
-//                         breakdown); off by default so existing JSONL
-//                         consumers see byte-identical output
-//   --recovery-stats      add mean_degraded_fetch_blocks (block equivalents
-//                         per degraded read, fractional for sub-shard codes
-//                         like hh) to the summary JSONL record and report;
-//                         off by default for the same reason
-//   --csv PATH            write the sampled timeline as CSV
-//
-// Fault layer (compute-failure fault tolerance; everything below is inert
-// unless --faults is given):
-//   --faults                   failures also kill the TaskTracker
-//   --expiry X                 heartbeat-expiry multiplier          [10]
-//   --attempt-failure-prob X   per-attempt transient failure prob   [0]
-//   --max-attempts N           attempts per task before job abort   [4]
-//   --retry-backoff X          base retry backoff, seconds          [1]
-//   --blacklist-threshold N    failures before a slave is shunned   [3]
-//   --blacklist-duration X     blacklist residence time, seconds    [300]
-//   --attempts-csv PATH        write the attempt-level trace as CSV
-//
-// Hedged degraded reads + storage fault injection (the fetch supervisor
-// engages when --hedge > 0 or any straggler/fail-prob knob is nonzero;
-// everything below is inert otherwise and output stays byte-identical):
-//   --hedge N                  extra hedge fetches per degraded read; the
-//                              read completes on the first quorum able to
-//                              reconstruct and cancels the losers    [0]
-//   --hedge-quorum N           completed fetches required before a
-//                              quorum may be declared (0 = coverage) [0]
-//   --fetch-timeout X          per-fetch timeout, seconds (0 = none) [0]
-//   --fetch-retries N          retries per source before falling back
-//                              to an alternative recovery option     [2]
-//   --fetch-backoff X          base retry backoff, seconds (doubles) [0.5]
-//   --straggler-fraction X     fraction of nodes serving reads slowly
-//                              (chosen evenly across racks)          [0]
-//   --straggler-slowdown X     service-jitter multiplier on them     [4]
-//   --straggler-jitter X       mean per-fetch service delay, seconds
-//                              (0 disables jitter)                   [0]
-//   --straggler-alpha X        Pareto tail shape for the jitter
-//                              (0 = exponential; > 1 = Pareto)       [0]
-//   --straggler-fail-prob X    transient fetch-failure probability   [0]
+// Every flag, with its value kind, range and default (the paper's §V-B
+// cluster under moderate sustained load, about half the map slots busy):
+// dfscluster --help
 
 #include <fstream>
 #include <iostream>
@@ -104,19 +19,13 @@
 #include "dfs/cluster/simulation.h"
 #include "dfs/core/scheduler.h"
 #include "dfs/mapreduce/trace.h"
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
-#include "dfs/util/args.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/table.h"
 
 using namespace dfs;
 
 namespace {
-
-int fail(const std::string& message) {
-  std::cerr << "dfscluster: " << message << "\n";
-  return 1;
-}
 
 /// Friendly lowercase aliases on top of core::make_scheduler's names.
 std::string scheduler_name(const std::string& flag) {
@@ -126,263 +35,158 @@ std::string scheduler_name(const std::string& flag) {
   return flag;
 }
 
-/// Parses a comma-separated list of doubles; throws std::invalid_argument
-/// on anything non-numeric, trailing junk, or an empty list.
-std::vector<double> parse_double_list(const std::string& flag,
-                                      const std::string& value) {
-  std::vector<double> out;
-  for (const std::string& item : util::split(value, ',')) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != item.size() || item.empty()) {
-      throw std::invalid_argument("--" + flag + ": bad number '" + item +
-                                  "'");
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) throw std::invalid_argument("--" + flag + ": empty list");
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout
-        << "dfscluster - online cluster lifecycle simulator\n"
-           "  --hours X --warmup X --scheduler lf|df|edf\n"
-           "  --seed N --seeds N --jobs N\n"
-           "  --slaves N --nodes-per-rack N --rack-gbps X\n"
-           "  --arrivals poisson|pareto|diurnal --interarrival X\n"
-           "  --pareto-alpha X --diurnal-amplitude X --diurnal-period X\n"
-           "  --blocks N --reducers N\n"
-           "  --mttf-hours X --repair-delay X --rack-failures X --repair N\n"
-           "  --sample-interval X --jsonl PATH --net-stats "
-           "--recovery-stats --csv PATH\n"
-           "  --speed-profile uniform|bimodal:F,S[,SEED]|vector:F0,...\n"
-           "  --tenants N --tenant-shares W,... --tenant-scales S,...\n"
-           "  --admission fifo|fair|fair:w0,... --skew S\n"
-           "  --faults --expiry X --attempt-failure-prob X --max-attempts N\n"
-           "  --retry-backoff X --blacklist-threshold N "
-           "--blacklist-duration X\n"
-           "  --attempts-csv PATH\n"
-           "  --hedge N --hedge-quorum N --fetch-timeout X "
-           "--fetch-retries N --fetch-backoff X\n"
-           "  --straggler-fraction X --straggler-slowdown X "
-           "--straggler-jitter X\n"
-           "  --straggler-alpha X --straggler-fail-prob X\n";
-    return 0;
-  }
-
   cluster::ClusterOptions opts;
-  opts.horizon = args.get_double("hours", 2.0) * 3600.0;
-  opts.warmup = args.get_double("warmup", 600.0);
-  opts.sample_interval = args.get_double("sample-interval", 60.0);
+  double hours = opts.horizon / 3600.0, rack_gbps = 1.0;
+  int slaves = opts.config.topology.num_nodes(), nodes_per_rack = 10,
+      tenants = 0, hedge_extras = 0, seed = 1, seeds = 1,
+      jobs = runner::default_jobs();
+  std::vector<double> tenant_shares, tenant_scales;
+  std::string scheduler_flag = "df", arrivals = "poisson",
+              speed_profile = "uniform";
+  std::optional<std::string> jsonl_path, csv_path, attempts_csv_path;
+  bool net_stats = false, recovery_stats = false;
+  cluster::ArrivalOptions& arr = opts.arrivals;
+  cluster::LifecycleOptions& life = opts.lifecycle;
+  mapreduce::FaultConfig& fault = opts.config.fault;
+  mapreduce::HedgeConfig& hedge = opts.config.hedge;
+  mapreduce::FetchPolicy& fetch = opts.config.fetch;
+  mapreduce::StragglerConfig& straggler = opts.config.straggler;
+
+  util::FlagTable flags("dfscluster", "online cluster lifecycle simulator");
+  flags.number("hours", &hours, "(0,inf)", "admission/failure window, hours");
+  flags.number("warmup", &opts.warmup, "[0,inf)", "warm-up cutoff, seconds");
+  flags.text("scheduler", &scheduler_flag, "lf | df | edf | any dfsim name");
+  flags.integer("seed", &seed, "[0,inf)", "base RNG seed");
+  flags.integer("seeds", &seeds, "[1,inf)", "independent runs from --seed");
+  flags.integer("jobs", &jobs, "[1,inf)", "seed-sweep threads (default: all)");
+  flags.integer("slaves", &slaves, "[1,inf)", "total slave nodes");
+  flags.integer("nodes-per-rack", &nodes_per_rack, "[1,inf)",
+                "rack width; racks = slaves / nodes-per-rack");
+  flags.number("rack-gbps", &rack_gbps, "(0,inf)", "rack link bandwidth, Gbps");
+  flags.text("arrivals", &arrivals, "poisson | pareto | diurnal");
+  flags.number("interarrival", &arr.mean_interarrival, "(0,inf)",
+               "mean gap between jobs, seconds");
+  flags.number("pareto-alpha", &arr.pareto_alpha, "(1,inf)",
+               "Pareto shape (smaller = burstier)");
+  flags.number("diurnal-amplitude", &arr.diurnal_amplitude, "[0,1)",
+               "diurnal rate swing");
+  flags.number("diurnal-period", &arr.diurnal_period, "(0,inf)",
+               "diurnal modulation period, seconds");
+  flags.integer("blocks", &arr.job.num_blocks, "[1,inf)", "map tasks per job");
+  flags.integer("reducers", &arr.job.num_reducers, "[0,inf)",
+                "reduce tasks per job");
+  flags.number("mttf-hours", &life.node_mttf_hours, "(0,inf)",
+               "per-node mean time to failure, hours");
+  flags.number("repair-delay", &life.mean_repair_delay, "[0,inf)",
+               "mean failure-to-repair-start delay, seconds");
+  flags.number("rack-failures", &life.rack_failure_fraction, "[0,1]",
+               "fraction of failures taking a rack");
+  flags.integer("repair", &life.repair_concurrency, "[1,inf)",
+                "block repairs in flight per failure");
+  flags.number("sample-interval", &opts.sample_interval, "(0,inf)",
+               "timeline sampling period, seconds");
+  flags.text("speed-profile", &speed_profile,
+             "uniform | bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...");
+  flags.integer("tenants", &tenants, "[1,inf)", "tenant classes (0 = none)");
+  flags.numbers("tenant-shares", &tenant_shares, {"(0,inf)"},
+                "arrival share per tenant (default: equal)");
+  flags.numbers("tenant-scales", &tenant_scales, {"(0,inf)"},
+                "job-size multiplier per tenant (default: 1)");
+  flags.text("admission", &opts.admission, "fifo | fair | fair:w0,w1,...");
+  flags.number("skew", &arr.job.skew, "[0,inf)", "Zipf skew, rack 0 hottest");
+  flags.text("jsonl", &jsonl_path, "write the full run as JSON lines");
+  flags.toggle("net-stats", &net_stats, "add net_stats JSONL records");
+  flags.toggle("recovery-stats", &recovery_stats,
+               "report mean degraded fetch blocks per read");
+  flags.text("csv", &csv_path, "write the sampled timeline as CSV");
+  // Fault layer: inert unless --faults is given.
+  flags.toggle("faults", &fault.compute_failures, "failures kill TaskTrackers");
+  flags.number("expiry", &fault.expiry_multiplier, "(0,inf)",
+               "heartbeat-expiry multiplier");
+  flags.number("attempt-failure-prob", &fault.attempt_failure_prob, "[0,1]",
+               "per-attempt transient failure prob.");
+  flags.integer("max-attempts", &fault.max_attempts, "[1,inf)",
+                "attempts per task before the job aborts");
+  flags.number("retry-backoff", &fault.retry_backoff, "[0,inf)",
+               "base retry backoff, seconds");
+  flags.integer("blacklist-threshold", &fault.blacklist_threshold, "[0,inf)",
+                "failures before a slave is shunned");
+  flags.number("blacklist-duration", &fault.blacklist_duration, "[0,inf)",
+               "blacklist residence time, seconds");
+  flags.text("attempts-csv", &attempts_csv_path, "write attempt trace CSV");
+  // Hedged degraded reads and storage fault injection: the fetch supervisor
+  // engages when --hedge > 0 or a straggler jitter/fail-prob is nonzero.
+  flags.integer("hedge", &hedge_extras, "[0,inf)", "hedge fetches per read");
+  flags.integer("hedge-quorum", &hedge.min_quorum, "[0,inf)",
+                "completed fetches required for a quorum (0 = coverage)");
+  flags.number("fetch-timeout", &fetch.timeout, "[0,inf)",
+               "per-fetch timeout, seconds (0 = none)");
+  flags.integer("fetch-retries", &fetch.max_retries, "[0,inf)",
+                "retries per source before replanning");
+  flags.number("fetch-backoff", &fetch.retry_backoff, "[0,inf)",
+               "base retry backoff, seconds (doubles per retry)");
+  flags.number("straggler-fraction", &straggler.fraction, "[0,1]",
+               "fraction of nodes serving reads slowly");
+  flags.number("straggler-slowdown", &straggler.slowdown, "[1,inf)",
+               "service-jitter multiplier on straggler nodes");
+  flags.number("straggler-jitter", &straggler.service_mean, "[0,inf)",
+               "mean per-fetch service delay, seconds");
+  flags.number("straggler-alpha", &straggler.pareto_alpha, "0|(1,inf)",
+               "jitter tail (0 = exponential)");
+  // < 1 strictly: a certain failure would retry forever.
+  flags.number("straggler-fail-prob", &straggler.fail_prob, "[0,1)",
+               "transient fetch-failure probability");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   // Cluster size. The default keeps the paper's 4x10 §V-B topology
   // byte-identical; --slaves rebuilds the topology at any scale (the 10k
   // tier is the benchmarked ceiling, not a hard limit).
-  const int nodes_per_rack = args.get_int("nodes-per-rack", 10);
-  const int slaves =
-      args.get_int("slaves", opts.config.topology.num_nodes());
-  const double rack_gbps = args.get_double("rack-gbps", 1.0);
-  if (nodes_per_rack < 1) return fail("--nodes-per-rack must be >= 1");
-  if (slaves < 1) return fail("--slaves must be >= 1");
   if (slaves % nodes_per_rack != 0) {
-    return fail("--slaves must be a multiple of --nodes-per-rack");
+    return flags.fail("--slaves must be a multiple of --nodes-per-rack");
   }
-  if (rack_gbps <= 0.0) return fail("--rack-gbps must be > 0");
+  opts.horizon = hours * 3600.0;
   opts.config.topology =
       net::Topology(slaves / nodes_per_rack, nodes_per_rack);
   opts.config.links.rack_up = util::gigabits_per_sec(rack_gbps);
   opts.config.links.rack_down = util::gigabits_per_sec(rack_gbps);
-
-  opts.arrivals.mean_interarrival = args.get_double("interarrival", 60.0);
-  opts.arrivals.pareto_alpha = args.get_double("pareto-alpha", 1.5);
-  opts.arrivals.diurnal_amplitude = args.get_double("diurnal-amplitude", 0.5);
-  opts.arrivals.diurnal_period = args.get_double("diurnal-period", 86400.0);
-  opts.arrivals.job.num_blocks = args.get_int("blocks", 240);
-  opts.arrivals.job.num_reducers = args.get_int("reducers", 10);
-  opts.arrivals.job.skew = args.get_double("skew", 0.0);
-  if (opts.arrivals.job.skew < 0.0) return fail("--skew must be >= 0");
+  hedge.enabled = hedge_extras > 0;
+  hedge.extra_sources = hedge_extras;
 
   // Tenant classes: --tenants N makes N equal classes; the share/scale
   // lists override per class and must carry exactly one value per tenant.
-  const int tenants = args.get_int("tenants", 0);
-  if (args.has("tenants") && tenants < 1) return fail("--tenants must be >= 1");
-  const auto tenant_shares = args.get("tenant-shares");
-  const auto tenant_scales = args.get("tenant-scales");
-  if ((tenant_shares || tenant_scales) && tenants < 1) {
-    return fail("--tenant-shares / --tenant-scales require --tenants N");
+  if ((!tenant_shares.empty() || !tenant_scales.empty()) && tenants < 1) {
+    return flags.fail("--tenant-shares / --tenant-scales require --tenants N");
   }
-  if (tenants >= 1) {
-    opts.arrivals.tenants.assign(static_cast<std::size_t>(tenants),
-                                 cluster::TenantClass{});
-    try {
-      if (tenant_shares) {
-        const auto shares =
-            parse_double_list("tenant-shares", *tenant_shares);
-        if (static_cast<int>(shares.size()) != tenants) {
-          return fail("--tenant-shares needs exactly --tenants values");
-        }
-        for (std::size_t c = 0; c < shares.size(); ++c) {
-          if (shares[c] <= 0.0) return fail("--tenant-shares must be > 0");
-          opts.arrivals.tenants[c].arrival_share = shares[c];
-        }
-      }
-      if (tenant_scales) {
-        const auto scales =
-            parse_double_list("tenant-scales", *tenant_scales);
-        if (static_cast<int>(scales.size()) != tenants) {
-          return fail("--tenant-scales needs exactly --tenants values");
-        }
-        for (std::size_t c = 0; c < scales.size(); ++c) {
-          if (scales[c] <= 0.0) return fail("--tenant-scales must be > 0");
-          opts.arrivals.tenants[c].job_scale = scales[c];
-        }
-      }
-    } catch (const std::exception& e) {
-      return fail(e.what());
-    }
+  const auto per_tenant = static_cast<std::size_t>(tenants);
+  if (!tenant_shares.empty() && tenant_shares.size() != per_tenant) {
+    return flags.fail("--tenant-shares needs exactly --tenants values");
   }
-
-  opts.lifecycle.node_mttf_hours = args.get_double("mttf-hours", 6.0);
-  opts.lifecycle.mean_repair_delay = args.get_double("repair-delay", 60.0);
-  opts.lifecycle.rack_failure_fraction = args.get_double("rack-failures", 0.0);
-  opts.lifecycle.repair_concurrency = args.get_int("repair", 4);
-
-  mapreduce::FaultConfig& fault = opts.config.fault;
-  fault.compute_failures = args.has("faults");
-  fault.expiry_multiplier = args.get_double("expiry", 10.0);
-  fault.attempt_failure_prob = args.get_double("attempt-failure-prob", 0.0);
-  fault.max_attempts = args.get_int("max-attempts", 4);
-  fault.retry_backoff = args.get_double("retry-backoff", 1.0);
-  fault.blacklist_threshold = args.get_int("blacklist-threshold", 3);
-  fault.blacklist_duration = args.get_double("blacklist-duration", 300.0);
-
-  mapreduce::HedgeConfig& hedge = opts.config.hedge;
-  const int hedge_extras = args.get_int("hedge", 0);
-  hedge.enabled = hedge_extras > 0;
-  hedge.extra_sources = hedge_extras;
-  hedge.min_quorum = args.get_int("hedge-quorum", 0);
-  mapreduce::FetchPolicy& fetch = opts.config.fetch;
-  fetch.timeout = args.get_double("fetch-timeout", 0.0);
-  fetch.max_retries = args.get_int("fetch-retries", 2);
-  fetch.retry_backoff = args.get_double("fetch-backoff", 0.5);
-  mapreduce::StragglerConfig& straggler = opts.config.straggler;
-  straggler.fraction = args.get_double("straggler-fraction", 0.0);
-  straggler.slowdown = args.get_double("straggler-slowdown", 4.0);
-  straggler.service_mean = args.get_double("straggler-jitter", 0.0);
-  straggler.pareto_alpha = args.get_double("straggler-alpha", 0.0);
-  straggler.fail_prob = args.get_double("straggler-fail-prob", 0.0);
-
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const int seeds = args.get_int("seeds", 1);
-  const auto jobs = runner::jobs_from_args(args);
-  const std::string scheduler_flag = args.get_or("scheduler", "df");
-  const auto jsonl_path = args.get("jsonl");
-  const bool net_stats = args.has("net-stats");
-  const bool recovery_stats = args.has("recovery-stats");
-  const auto csv_path = args.get("csv");
-  const auto attempts_csv_path = args.get("attempts-csv");
-
-  if (seeds < 1) return fail("--seeds must be >= 1");
-  if (!jobs) return fail(runner::jobs_error());
-  // Each simulation also water-fills independent congestion components on
-  // --jobs threads (a dedicated pool per cell; the recompute is
-  // order-insensitive, so this never changes output). Single-seed runs —
-  // the scale tier's shape — get the full thread budget; multi-seed sweeps
-  // already keep every core busy with whole cells, so they stay serial
-  // inside the network rather than oversubscribing jobs^2 threads.
-  opts.net_jobs = seeds == 1 ? *jobs : 1;
-  if (opts.horizon <= 0.0) return fail("--hours must be > 0");
-  if (opts.warmup < 0.0) return fail("--warmup must be >= 0");
-  if (opts.sample_interval <= 0.0) return fail("--sample-interval must be > 0");
-  if (opts.arrivals.mean_interarrival <= 0.0) {
-    return fail("--interarrival must be > 0");
+  if (!tenant_scales.empty() && tenant_scales.size() != per_tenant) {
+    return flags.fail("--tenant-scales needs exactly --tenants values");
   }
-  if (opts.arrivals.pareto_alpha <= 1.0) {
-    return fail("--pareto-alpha must be > 1");
+  arr.tenants.assign(per_tenant, cluster::TenantClass{});
+  for (std::size_t c = 0; c < tenant_shares.size(); ++c) {
+    arr.tenants[c].arrival_share = tenant_shares[c];
   }
-  if (opts.arrivals.diurnal_amplitude < 0.0 ||
-      opts.arrivals.diurnal_amplitude >= 1.0) {
-    return fail("--diurnal-amplitude must be in [0, 1)");
-  }
-  if (opts.arrivals.diurnal_period <= 0.0) {
-    return fail("--diurnal-period must be > 0");
-  }
-  if (opts.arrivals.job.num_blocks < 1) return fail("--blocks must be >= 1");
-  if (opts.arrivals.job.num_reducers < 0) {
-    return fail("--reducers must be >= 0");
-  }
-  if (opts.lifecycle.node_mttf_hours <= 0.0) {
-    return fail("--mttf-hours must be > 0");
-  }
-  if (opts.lifecycle.mean_repair_delay < 0.0) {
-    return fail("--repair-delay must be >= 0");
-  }
-  if (opts.lifecycle.rack_failure_fraction < 0.0 ||
-      opts.lifecycle.rack_failure_fraction > 1.0) {
-    return fail("--rack-failures must be in [0, 1]");
-  }
-  if (opts.lifecycle.repair_concurrency < 1) {
-    return fail("--repair must be >= 1");
-  }
-  if (fault.expiry_multiplier <= 0.0) return fail("--expiry must be > 0");
-  if (fault.attempt_failure_prob < 0.0 || fault.attempt_failure_prob > 1.0) {
-    return fail("--attempt-failure-prob must be in [0, 1]");
-  }
-  if (fault.max_attempts < 1) return fail("--max-attempts must be >= 1");
-  if (fault.retry_backoff < 0.0) return fail("--retry-backoff must be >= 0");
-  if (fault.blacklist_duration < 0.0) {
-    return fail("--blacklist-duration must be >= 0");
-  }
-  if (hedge_extras < 0) return fail("--hedge must be >= 0");
-  if (hedge.min_quorum < 0) return fail("--hedge-quorum must be >= 0");
-  if (fetch.timeout < 0.0) return fail("--fetch-timeout must be >= 0");
-  if (fetch.max_retries < 0) return fail("--fetch-retries must be >= 0");
-  if (fetch.retry_backoff < 0.0) return fail("--fetch-backoff must be >= 0");
-  if (straggler.fraction < 0.0 || straggler.fraction > 1.0) {
-    return fail("--straggler-fraction must be in [0, 1]");
-  }
-  if (straggler.slowdown < 1.0) return fail("--straggler-slowdown must be >= 1");
-  if (straggler.service_mean < 0.0) {
-    return fail("--straggler-jitter must be >= 0");
-  }
-  if (straggler.pareto_alpha != 0.0 && straggler.pareto_alpha <= 1.0) {
-    return fail("--straggler-alpha must be 0 (exponential) or > 1");
-  }
-  if (straggler.fail_prob < 0.0 || straggler.fail_prob >= 1.0) {
-    // < 1 strictly: a certain failure would retry forever.
-    return fail("--straggler-fail-prob must be in [0, 1)");
+  for (std::size_t c = 0; c < tenant_scales.size(); ++c) {
+    arr.tenants[c].job_scale = tenant_scales[c];
   }
 
   std::unique_ptr<core::Scheduler> scheduler;
   try {
-    opts.arrivals.model = cluster::parse_arrival_model(
-        args.get_or("arrivals", "poisson"));
+    arr.model = cluster::parse_arrival_model(arrivals);
     // Negative fractions, slowdowns below 1, bad weights etc. are rejected
     // here, before any sweep cell starts.
-    opts.speed =
-        mapreduce::SpeedModel::parse(args.get_or("speed-profile", "uniform"));
-    opts.admission = args.get_or("admission", "fifo");
+    opts.speed = mapreduce::SpeedModel::parse(speed_profile);
     if (opts.admission != "fifo") {
       core::make_admission_policy(opts.admission);  // validate the spec
     }
     scheduler = core::make_scheduler(scheduler_name(scheduler_flag));
   } catch (const std::exception& e) {
-    return fail(e.what());
-  }
-
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return fail("unknown flag --" + unknown.front());
+    return flags.fail(e.what());
   }
 
   // Each seed is one sweep cell; every cell owns its scheduler and
@@ -394,12 +198,13 @@ int main(int argc, char** argv) {
     std::string warn;
     cluster::ClusterResult result;
   };
-  runner::ThreadPool pool(*jobs);
+  runner::ThreadPool pool(jobs);
   std::vector<SeedOutcome> outcomes;
   try {
     outcomes = runner::sweep(
         pool, static_cast<std::size_t>(seeds), [&](std::size_t cell) {
-          const std::uint64_t cell_seed = seed + cell;
+          const std::uint64_t cell_seed =
+              static_cast<std::uint64_t>(seed) + cell;
           const auto sched = core::make_scheduler(
               scheduler_name(scheduler_flag));
           cluster::ClusterSimulation simulation(opts, *sched, cell_seed);
@@ -532,7 +337,7 @@ int main(int argc, char** argv) {
           return out;
         });
   } catch (const std::exception& e) {
-    return fail(e.what());
+    return flags.fail(e.what());
   }
   for (const auto& out : outcomes) {
     std::cout << out.report;
@@ -541,7 +346,7 @@ int main(int argc, char** argv) {
 
   if (jsonl_path) {
     std::ofstream out(*jsonl_path);
-    if (!out) return fail("cannot write " + *jsonl_path);
+    if (!out) return flags.fail("cannot write " + *jsonl_path);
     // One record stream, seeds concatenated in seed order.
     for (const auto& outcome : outcomes) {
       cluster::write_cluster_jsonl(out, outcome.result);
@@ -550,7 +355,7 @@ int main(int argc, char** argv) {
   }
   if (csv_path) {
     std::ofstream out(*csv_path);
-    if (!out) return fail("cannot write " + *csv_path);
+    if (!out) return flags.fail("cannot write " + *csv_path);
     cluster::write_timeline_csv(out, outcomes.front().result);
     std::cout << "timeline CSV written to " << *csv_path;
     if (seeds > 1) std::cout << " (first seed only)";
@@ -558,7 +363,7 @@ int main(int argc, char** argv) {
   }
   if (attempts_csv_path) {
     std::ofstream out(*attempts_csv_path);
-    if (!out) return fail("cannot write " + *attempts_csv_path);
+    if (!out) return flags.fail("cannot write " + *attempts_csv_path);
     mapreduce::write_attempt_csv(out, outcomes.front().result.run);
     std::cout << "attempt trace CSV written to " << *attempts_csv_path;
     if (seeds > 1) std::cout << " (first seed only)";

@@ -19,7 +19,7 @@
 #include <sstream>
 
 #include "dfs/ec/registry.h"
-#include "dfs/util/args.h"
+#include "dfs/util/flags.h"
 
 namespace fs = std::filesystem;
 using namespace dfs;
@@ -224,26 +224,22 @@ int cmd_decode(const ec::ErasureCode& code, const fs::path& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto& pos = args.positional();
-  if (pos.empty()) {
-    return fail(
-        "usage: dfsec <encode|verify|repair|decode> --code rs:n,k "
-        "[--block-kb N] <paths...>");
-  }
+  std::string code_spec = "rs:6,4";
+  int block_kb = 64;
+  util::FlagTable flags("dfsec", "encode|verify|repair|decode <paths...>");
+  flags.text("code", &code_spec, ec::code_spec_help());
+  flags.integer("block-kb", &block_kb, "[1,inf)", "block size, KiB");
+  std::vector<std::string> pos;
+  if (const auto status = flags.parse(argc, argv, &pos)) return *status;
+  if (pos.empty()) return fail("missing command (see --help)");
   std::shared_ptr<ec::ErasureCode> code;
   try {
-    code = ec::make_code_from_spec(args.get_or("code", "rs:6,4"));
+    code = ec::make_code_from_spec(code_spec);
   } catch (const std::invalid_argument& e) {
     return fail(std::string("bad --code parameters: ") + e.what());
   }
   if (!code) {
     return fail(std::string("bad --code spec (") + ec::code_spec_help() + ")");
-  }
-  const int block_kb = args.get_int("block-kb", 64);
-  if (block_kb < 1) return fail("--block-kb must be >= 1");
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return fail("unknown flag --" + unknown.front());
   }
   const std::size_t block_bytes = static_cast<std::size_t>(block_kb) * 1024;
 
@@ -256,5 +252,5 @@ int main(int argc, char** argv) {
   if (cmd == "decode" && pos.size() == 3) {
     return cmd_decode(*code, pos[1], pos[2]);
   }
-  return fail("bad command line (see header comment for usage)");
+  return fail("bad command line (see --help)");
 }

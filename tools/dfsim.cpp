@@ -5,54 +5,8 @@
 //   dfsim --racks 3 --nodes-per-rack 4 --code rs:12,10 --blocks 240
 //         --block-mb 64 --bandwidth-mbps 250 --scheduler LF --csv out/run
 //
-// Flags (defaults follow the paper's §V-B simulation setup):
-//   --racks N             racks in the cluster              [4]
-//   --nodes-per-rack N    nodes per rack                    [10]
-//   --map-slots N         map slots per node                [4]
-//   --reduce-slots N      reduce slots per node             [1]
-//   --block-mb N          block size in MiB                 [128]
-//   --bandwidth-mbps X    rack up/down bandwidth            [1000]
-//   --node-bandwidth-mbps X  node link bandwidth (0 = unlimited) [0]
-//   --contention MODEL    fair | fifo                       [fair]
-//   --heartbeat X         heartbeat interval in seconds     [3]
-//   --blocks F            native blocks (= map tasks)       [1440]
-//   --code SPEC           rs:n,k | crs:n,k | lrc:k,l,r | hh:n,k | rep:r
-//                                                           [rs:20,15]
-//   --placement P         random | roundrobin | replicated  [random]
-//   --reducers N          reduce tasks                      [30]
-//   --shuffle X           shuffle ratio (fraction of block) [0.01]
-//   --map-time M,SD       map processing time, normal dist  [20,1]
-//   --reduce-time M,SD    reduce processing time            [30,2]
-//   --scheduler S         LF | BDF | EDF | DELAY            [LF]
-//   --failure F           none | node | 2node | rack        [node]
-//   --seeds N             independent runs                  [10]
-//   --jobs N              worker threads for the seed sweep
-//                         [all hardware threads; output is byte-identical
-//                          for any value — seeds are independent cells]
-//   --sources POLICY      random | samerack                 [random]
-//   --planner P           cheapest | fullshard: degraded-read planning;
-//                         fullshard disables sub-shard recovery options
-//                         (every source fetches whole blocks)  [cheapest]
-//   --cross-rack-cost X   cost-model weight of a cross-rack fetch relative
-//                         to an in-rack fetch (1 = neutral)    [1]
-//   --recovery-stats      print one recovery_stats JSON line per seed
-//                         (degraded fetch volume in block units)
-//   --hetero X            every other node is X times slower (1 = off)
-//   --speed-profile SPEC  per-node speed profile: uniform |
-//                         bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...
-//                         (mutually exclusive with --hetero; when active,
-//                         the map-task CSV gains a time_scale column)
-//                                                           [uniform]
-//   --skew S              Zipf exponent for the random placement — rack 0
-//                         gets the hottest blocks (0 = uniform)   [0]
-//   --speculate           enable Hadoop-style speculative execution
-//   --repair N            run background repair with concurrency N
-//   --utilization         print a rack-downlink utilization timeline
-//   --net-stats           print one net_stats JSON line per seed (network
-//                         engine counters: flow totals, fast paths,
-//                         batched/component recomputes)
-//   --csv PREFIX          write per-task/job CSVs of the first run
-//   --normalize           also run normal mode and report ratios
+// Every flag, with its value kind, range and default (the paper's §V-B
+// simulation setup): dfsim --help
 
 #include <iostream>
 #include <memory>
@@ -66,183 +20,133 @@
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/mapreduce/speed_model.h"
 #include "dfs/mapreduce/trace.h"
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/storage/failure.h"
 #include "dfs/storage/layout.h"
-#include "dfs/util/args.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/jsonl.h"
 #include "dfs/util/stats.h"
 #include "dfs/util/table.h"
 
 using namespace dfs;
 
-namespace {
-
-int fail(const std::string& message) {
-  std::cerr << "dfsim: " << message << "\n";
-  return 1;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout
-        << "dfsim - MapReduce-over-erasure-coding simulator\n"
-           "  --racks N --nodes-per-rack N --map-slots N --reduce-slots N\n"
-           "  --block-mb N --bandwidth-mbps X --node-bandwidth-mbps X\n"
-           "  --contention fair|fifo --heartbeat X\n"
-           "  --blocks F --code SPEC --placement random|roundrobin|replicated\n"
-           "  --reducers N --shuffle X --map-time M,SD --reduce-time M,SD\n"
-           "  --scheduler LF|BDF|EDF|DELAY|FAIR|FAIR+DF\n"
-           "  --failure none|node|2node|rack --sources random|samerack\n"
-           "  --planner cheapest|fullshard --cross-rack-cost X\n"
-           "  --speed-profile uniform|bimodal:F,S[,SEED]|vector:F0,...\n"
-           "  --skew S\n"
-           "  --seeds N --jobs N --speculate --repair N --normalize\n"
-           "  --csv PREFIX --utilization --net-stats --recovery-stats\n"
-           "  code SPEC: "
-        << ec::code_spec_help() << "\n";
-    return 0;
-  }
-
   mapreduce::ClusterConfig cfg;
-  cfg.topology = net::Topology(args.get_int("racks", 4),
-                               args.get_int("nodes-per-rack", 10));
-  cfg.map_slots_per_node = args.get_int("map-slots", 4);
-  cfg.reduce_slots_per_node = args.get_int("reduce-slots", 1);
-  cfg.block_size = util::mebibytes(args.get_double("block-mb", 128.0));
-  cfg.heartbeat_interval = args.get_double("heartbeat", 3.0);
-  const double rack_mbps = args.get_double("bandwidth-mbps", 1000.0);
+  mapreduce::JobSpec spec;
+  storage::RecoveryCostModel cost_model;
+  int racks = cfg.topology.num_racks();
+  int nodes_per_rack = cfg.topology.num_nodes() / racks;
+  int blocks = 1440, seeds = 10, jobs = runner::default_jobs(),
+      repair_concurrency = 0;
+  double block_mb = 128.0, rack_mbps = 1000.0, node_mbps = 0.0, skew = 0.0;
+  std::string contention = "fair", code_spec = "rs:20,15",
+              scheduler_name = "LF", placement = "random",
+              failure_kind = "node", sources = "random",
+              planner_name = "cheapest", speed_profile = "uniform";
+  std::vector<double> map_time{spec.map_time.mean, spec.map_time.stddev};
+  std::vector<double> reduce_time{spec.reduce_time.mean,
+                                  spec.reduce_time.stddev};
+  bool show_recovery_stats = false, normalize = false,
+       show_utilization = false, show_net_stats = false;
+  std::optional<std::string> csv_prefix;
+
+  util::FlagTable flags("dfsim", "MapReduce-over-erasure-coding simulator");
+  flags.integer("racks", &racks, "[1,inf)", "racks in the cluster");
+  flags.integer("nodes-per-rack", &nodes_per_rack, "[1,inf)", "nodes per rack");
+  flags.integer("map-slots", &cfg.map_slots_per_node, "[0,inf)",
+                "map slots per node");
+  flags.integer("reduce-slots", &cfg.reduce_slots_per_node, "[0,inf)",
+                "reduce slots per node");
+  flags.number("block-mb", &block_mb, "(0,inf)", "block size, MiB");
+  flags.number("bandwidth-mbps", &rack_mbps, "(0,inf)", "rack link Mbps");
+  flags.number("node-bandwidth-mbps", &node_mbps, "[0,inf)",
+               "node link bandwidth, Mbps (0 = unlimited)");
+  flags.choice("contention", &contention, {"fair", "fifo"},
+               "link sharing: max-min fair or exclusive FIFO holds");
+  flags.number("heartbeat", &cfg.heartbeat_interval, "(0,inf)",
+               "heartbeat interval, seconds");
+  flags.integer("blocks", &blocks, "[1,inf)", "native blocks");
+  flags.text("code", &code_spec, ec::code_spec_help());
+  flags.choice("placement", &placement, {"random", "roundrobin", "replicated"},
+               "block placement");
+  flags.integer("reducers", &spec.num_reducers, "[0,inf)", "reduce tasks");
+  flags.number("shuffle", &spec.shuffle_ratio, "[0,inf)",
+               "shuffle size as a fraction of a block");
+  flags.numbers("map-time", &map_time, {"(0,inf)", "[0,inf)"},
+                "map time MEAN,SD (normal), seconds");
+  flags.numbers("reduce-time", &reduce_time, {"(0,inf)", "[0,inf)"},
+                "reduce time MEAN,SD (normal), seconds");
+  flags.text("scheduler", &scheduler_name, "LF|BDF|EDF|DELAY|FAIR|FAIR+DF");
+  flags.choice("failure", &failure_kind, {"none", "node", "2node", "rack"},
+               "failure scenario");
+  flags.integer("seeds", &seeds, "[1,inf)", "independent runs");
+  flags.integer("jobs", &jobs, "[1,inf)", "seed-sweep threads (default: all)");
+  flags.choice("sources", &sources, {"random", "samerack"},
+               "degraded-read source selection");
+  flags.choice("planner", &planner_name, {"cheapest", "fullshard"},
+               "fullshard: whole-block sources only, no sub-shard reads");
+  flags.number("cross-rack-cost", &cost_model.cross_rack_weight, "(0,inf)",
+               "planner weight of a cross-rack fetch");
+  flags.toggle("recovery-stats", &show_recovery_stats,
+               "print recovery_stats JSON lines (degraded fetch volume)");
+  flags.text("speed-profile", &speed_profile,
+             "uniform | bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...");
+  flags.number("skew", &skew, "[0,inf)", "Zipf exponent, rack 0 hottest");
+  flags.toggle("speculate", &cfg.speculative_execution,
+               "Hadoop-style speculative execution");
+  flags.integer("repair", &repair_concurrency, "[0,inf)",
+                "background repair concurrency (0 = off)");
+  flags.toggle("utilization", &show_utilization,
+               "print seed 0's rack-downlink utilization timeline");
+  flags.toggle("net-stats", &show_net_stats, "print net_stats JSON lines");
+  flags.text("csv", &csv_prefix, "write per-task/job CSVs of seed 0");
+  flags.toggle("normalize", &normalize, "also run failure-free; report ratios");
+  if (const auto status = flags.parse(argc, argv)) return *status;
+
+  cfg.topology = net::Topology(racks, nodes_per_rack);
+  cfg.block_size = util::mebibytes(block_mb);
   cfg.links.rack_up = util::megabits_per_sec(rack_mbps);
   cfg.links.rack_down = util::megabits_per_sec(rack_mbps);
-  const double node_mbps = args.get_double("node-bandwidth-mbps", 0.0);
   cfg.links.node_up = node_mbps > 0 ? util::megabits_per_sec(node_mbps)
                                     : util::kUnlimitedBandwidth;
   cfg.links.node_down = cfg.links.node_up;
-  const std::string contention = args.get_or("contention", "fair");
   if (contention == "fifo") {
     cfg.contention = net::ContentionModel::kExclusiveFifo;
-  } else if (contention != "fair") {
-    return fail("unknown --contention " + contention);
   }
+  spec.map_time = {map_time[0], map_time[1]};
+  spec.reduce_time = {reduce_time[0], reduce_time[1]};
+  const auto selection = sources == "samerack"
+                             ? storage::SourceSelection::kPreferSameRack
+                             : storage::SourceSelection::kRandom;
+  cost_model.allow_subshard = planner_name != "fullshard";
 
   std::shared_ptr<ec::ErasureCode> code;
   try {
-    code = ec::make_code_from_spec(args.get_or("code", "rs:20,15"));
+    code = ec::make_code_from_spec(code_spec);
   } catch (const std::invalid_argument& e) {
-    return fail(std::string("bad --code parameters: ") + e.what());
+    return flags.fail(std::string("bad --code parameters: ") + e.what());
   }
   if (!code) {
-    return fail(std::string("bad --code spec (") + ec::code_spec_help() + ")");
+    return flags.fail(std::string("bad --code spec (") +
+                      ec::code_spec_help() + ")");
   }
-  const int blocks = args.get_int("blocks", 1440);
-
-  mapreduce::JobSpec spec;
-  spec.num_reducers = args.get_int("reducers", 30);
-  spec.shuffle_ratio = args.get_double("shuffle", 0.01);
-  const auto mt = util::split(args.get_or("map-time", "20,1"), ',');
-  const auto rt = util::split(args.get_or("reduce-time", "30,2"), ',');
-  if (mt.size() != 2 || rt.size() != 2) return fail("bad --map-time/--reduce-time");
-  spec.map_time = {std::atof(mt[0].c_str()), std::atof(mt[1].c_str())};
-  spec.reduce_time = {std::atof(rt[0].c_str()), std::atof(rt[1].c_str())};
 
   // Validate the scheduler spec once up front; every sweep cell builds its
   // own instance from the same name (schedulers like DELAY carry mutable
   // state, so one instance must never be shared across concurrent seeds).
-  const std::string scheduler_name = args.get_or("scheduler", "LF");
   std::unique_ptr<core::Scheduler> scheduler;
-  try {
-    scheduler = core::make_scheduler(scheduler_name);
-  } catch (const std::exception& e) {
-    return fail(e.what());
-  }
-
-  const std::string placement = args.get_or("placement", "random");
-  const std::string failure_kind = args.get_or("failure", "node");
-  const std::string sources = args.get_or("sources", "random");
-  const auto selection = sources == "samerack"
-                             ? storage::SourceSelection::kPreferSameRack
-                             : storage::SourceSelection::kRandom;
-  const std::string planner_name = args.get_or("planner", "cheapest");
-  storage::RecoveryCostModel cost_model;
-  if (planner_name == "fullshard") {
-    cost_model.allow_subshard = false;
-  } else if (planner_name != "cheapest") {
-    return fail("unknown --planner " + planner_name);
-  }
-  cost_model.cross_rack_weight = args.get_double("cross-rack-cost", 1.0);
-  const bool show_recovery_stats = args.has("recovery-stats");
-  const int seeds = args.get_int("seeds", 10);
-  const auto jobs = runner::jobs_from_args(args);
-  const bool normalize = args.has("normalize");
-  const auto csv_prefix = args.get("csv");
-  cfg.speculative_execution = args.has("speculate");
-  const int repair_concurrency = args.get_int("repair", 0);
-  const bool show_utilization = args.has("utilization");
-  const bool show_net_stats = args.has("net-stats");
-  const double hetero = args.get_double("hetero", 1.0);
-  if (hetero != 1.0) {
-    cfg.node_time_scale.assign(
-        static_cast<std::size_t>(cfg.topology.num_nodes()), 1.0);
-    for (net::NodeId n = 1; n < cfg.topology.num_nodes(); n += 2) {
-      cfg.node_time_scale[static_cast<std::size_t>(n)] = hetero;
-    }
-  }
   mapreduce::SpeedModel speed;
   try {
-    speed = mapreduce::SpeedModel::parse(
-        args.get_or("speed-profile", "uniform"));
+    scheduler = core::make_scheduler(scheduler_name);
+    speed = mapreduce::SpeedModel::parse(speed_profile);
   } catch (const std::exception& e) {
-    return fail(e.what());
+    return flags.fail(e.what());
   }
   if (!speed.uniform()) {
-    if (hetero != 1.0) {
-      return fail("--speed-profile and --hetero are mutually exclusive");
-    }
     cfg.node_time_scale = speed.materialize(cfg.topology.num_nodes());
   }
-  const double skew = args.get_double("skew", 0.0);
-  if (skew < 0.0) return fail("--skew must be >= 0");
   if (skew > 0.0 && placement != "random") {
-    return fail("--skew needs --placement random");
-  }
-
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return fail("unknown flag --" + unknown.front());
-  }
-
-  if (cfg.map_slots_per_node < 0) return fail("--map-slots must be >= 0");
-  if (cfg.reduce_slots_per_node < 0) return fail("--reduce-slots must be >= 0");
-  if (cfg.block_size <= 0.0) return fail("--block-mb must be > 0");
-  if (cfg.heartbeat_interval <= 0.0) return fail("--heartbeat must be > 0");
-  if (rack_mbps <= 0.0) return fail("--bandwidth-mbps must be > 0");
-  if (node_mbps < 0.0) return fail("--node-bandwidth-mbps must be >= 0");
-  if (blocks < 1) return fail("--blocks must be >= 1");
-  if (spec.num_reducers < 0) return fail("--reducers must be >= 0");
-  if (spec.shuffle_ratio < 0.0) return fail("--shuffle must be >= 0");
-  if (spec.map_time.mean <= 0.0 || spec.map_time.stddev < 0.0) {
-    return fail("--map-time needs mean > 0 and stddev >= 0");
-  }
-  if (spec.reduce_time.mean <= 0.0 || spec.reduce_time.stddev < 0.0) {
-    return fail("--reduce-time needs mean > 0 and stddev >= 0");
-  }
-  if (seeds < 1) return fail("--seeds must be >= 1");
-  if (!jobs) return fail(runner::jobs_error());
-  if (repair_concurrency < 0) return fail("--repair must be >= 0");
-  if (cost_model.cross_rack_weight <= 0.0) {
-    return fail("--cross-rack-cost must be > 0");
-  }
-  if (hetero <= 0.0) return fail("--hetero must be > 0");
-  if (placement != "random" && placement != "roundrobin" &&
-      placement != "replicated") {
-    return fail("unknown --placement " + placement);
-  }
-  if (failure_kind != "none" && failure_kind != "node" &&
-      failure_kind != "2node" && failure_kind != "rack") {
-    return fail("unknown --failure " + failure_kind);
+    return flags.fail("--skew needs --placement random");
   }
 
   util::Table table({"seed", "runtime(s)", "map_phase(s)", "degraded",
@@ -258,7 +162,7 @@ int main(int argc, char** argv) {
     double runtime = 0.0;
     double norm = 0.0;
   };
-  runner::ThreadPool pool(*jobs);
+  runner::ThreadPool pool(jobs);
   std::vector<SeedOutcome> outcomes;
   try {
     outcomes = runner::sweep(
@@ -400,7 +304,7 @@ int main(int argc, char** argv) {
           return out;
         });
   } catch (const std::exception& e) {
-    return fail(e.what());
+    return flags.fail(e.what());
   }
   std::vector<double> runtimes, normalized;
   for (auto& out : outcomes) {
