@@ -164,9 +164,7 @@ SteadyStateSummary summarize_steady_state(
     s.mean_degraded_fetch_blocks = fetched / degraded_reads;
   }
 
-  // Degraded-read tail latency (per task, then per supervised fetch). The
-  // per-task tail is well defined for every run; the per-fetch tail only has
-  // samples when the fetch supervisor ran.
+  // Degraded-read tail latency, per task and then per fetch.
   s.degraded_read_samples = static_cast<int>(read_times.count());
   if (!read_times.empty()) {
     s.degraded_read_p50 = read_times.quantile(50.0);

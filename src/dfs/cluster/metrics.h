@@ -81,8 +81,8 @@ struct SteadyStateSummary {
   /// sub-shard codes like Hitchhiker, k for plain RS). 0 when no degraded
   /// task ran. Only written to JSONL when `report_recovery_stats` is set.
   double mean_degraded_fetch_blocks = 0.0;
-  // --- degraded-read tail latency (meaningful when the fetch supervisor
-  // ran; only written to JSONL when `report_hedging` is set) ---------------
+  // --- degraded-read tail latency (only written to JSONL when
+  // `report_hedging` is set) -------------------------------------------------
   /// Per-task degraded read time (request issue to reconstructability) of
   /// the measured jobs' recoverable degraded tasks.
   double degraded_read_p50 = 0.0;
@@ -90,12 +90,12 @@ struct SteadyStateSummary {
   double degraded_read_p999 = 0.0;
   int degraded_read_samples = 0;
   /// Per-fetch latency (attempt launch, service wait included, to last
-  /// byte) of completed supervised fetches launched inside the window.
+  /// byte) of completed fetches launched inside the window.
   double fetch_p50 = 0.0;
   double fetch_p99 = 0.0;
   double fetch_p999 = 0.0;
   int fetch_samples = 0;
-  mapreduce::HedgeStats hedge;  ///< supervisor counters (zero when off)
+  mapreduce::HedgeStats hedge;  ///< fetch-supervisor counters
   // --- per-tenant latency (multi-tenant streams; only written to JSONL
   // when `report_tenants` is set) ------------------------------------------
   /// Completion-latency percentiles of one tenant class's measured jobs.

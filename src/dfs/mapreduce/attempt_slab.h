@@ -22,9 +22,9 @@ struct MapAttempt {
   bool backup = false;
   /// Node compute-failed; attempt will be finalized (killed) at detection.
   bool doomed = false;
-  std::vector<net::FlowId> flows;  ///< in-flight input fetches
-  /// Supervised degraded read in flight (fetch supervisor active only);
-  /// 0 when none. Teardown must cancel it through the supervisor.
+  std::vector<net::FlowId> flows;  ///< in-flight rack-local/remote fetch
+  /// Degraded read in flight under the fetch supervisor; 0 when none.
+  /// Teardown must cancel it through the supervisor.
   ReadId read = 0;
 };
 

@@ -60,12 +60,12 @@ struct FaultConfig {
 /// plan's sources plus up to `extra_sources` hedge fetches from the
 /// RecoveryPlan's alternative options, completes on the first quorum able to
 /// reconstruct the lost block, and cancels the losers mid-flight. All knobs
-/// default to off: with this struct untouched (and StragglerConfig inert)
-/// degraded reads run the legacy inline fetch path — no extra RNG draws, no
-/// extra events — so existing runs stay byte-identical.
+/// default to off: the fetch supervisor then fetches the primary plan alone
+/// and draws no random numbers except for a fallback replan after a
+/// source's node dies.
 struct HedgeConfig {
-  /// Master switch. Off leaves the legacy assume-success fetch in place even
-  /// when the fetch supervisor is active for straggler injection.
+  /// Master switch. Off fetches the primary plan alone, even when straggler
+  /// injection is on.
   bool enabled = false;
   /// Hedge fetches launched beyond the primary plan (clamped to the
   /// surviving shards actually available).
@@ -79,8 +79,7 @@ struct HedgeConfig {
 };
 
 /// Per-fetch supervision: timeouts and bounded retries around every
-/// supervised degraded-read fetch. Inert at the defaults (no timer events
-/// armed); only consulted when the fetch supervisor is active.
+/// degraded-read fetch. Inert at the defaults (no timer events armed).
 struct FetchPolicy {
   /// A fetch older than this is abandoned and retried (0 = no timeout).
   util::Seconds timeout = 0.0;
@@ -174,12 +173,14 @@ struct ClusterConfig {
   FaultConfig fault;
 
   /// Hedged degraded reads + per-fetch supervision + storage fault
-  /// injection; all inert at their defaults. The fetch supervisor engages
-  /// when `hedge.active() || straggler.active()`.
+  /// injection; all inert at their defaults. Every degraded read runs under
+  /// the fetch supervisor either way.
   HedgeConfig hedge;
   FetchPolicy fetch;
   StragglerConfig straggler;
 
+  /// A hedge or straggler knob is set: the supervisor then forks its Rng
+  /// from the master's stream, and the tools print the hedging report.
   bool fetch_supervised() const {
     return hedge.active() || straggler.active();
   }

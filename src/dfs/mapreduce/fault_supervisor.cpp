@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "dfs/mapreduce/map_phase.h"
@@ -33,8 +32,8 @@ void FaultSupervisor::on_compute_failed(NodeId node) {
     a.doomed = true;
     for (const net::FlowId f : a.flows) s_.net.cancel(f);
     a.flows.clear();
-    if (a.read != 0 && s_.fetch) {
-      s_.fetch->cancel_read(a.read);
+    if (a.read != 0) {
+      s_.fetch.cancel_read(a.read);
       a.read = 0;
     }
   }
@@ -348,9 +347,7 @@ void FaultSupervisor::abort_job(JobState& j) {
     // Doomed attempts sit on a dead node whose slot ledger is void.
     if (!a->doomed) ++s_.slave(rec.exec_node).free_map_slots;
     for (const net::FlowId f : a->flows) s_.net.cancel(f);
-    if (a->read != 0 && s_.fetch) {
-      s_.fetch->cancel_read(a->read);
-    }
+    if (a->read != 0) s_.fetch.cancel_read(a->read);
     s_.map_attempts.erase(record_idx);
   }
   for (std::size_t r = 0; r < j.reduces.size(); ++r) {
@@ -391,71 +388,27 @@ void FaultSupervisor::note_attempt_failure(NodeId node) {
   });
 }
 
-void FaultSupervisor::replan_inflight_reads(NodeId node) {
+void FaultSupervisor::kill_fetches_from(NodeId node) {
+  // Degraded reads are not touched here: the fetch supervisor retargets
+  // them itself (FetchSupervisor::on_node_failed).
   for (const int record_idx : s_.sorted_attempt_records()) {
     MapAttempt* found = s_.map_attempts.find(record_idx);
     if (found == nullptr) continue;
     MapAttempt& a = *found;
-    if (a.doomed) continue;
-    // Supervised reads retarget themselves (FetchSupervisor::on_node_failed
-    // replans around the dead source); replanning here would double up.
-    if (a.read != 0) continue;
+    if (a.doomed || a.flows.empty()) continue;  // dead, or input landed
     MapTaskRecord& rec =
         s_.result.map_tasks[static_cast<std::size_t>(record_idx)];
     if (rec.exec_node == node) continue;  // the compute-death path owns it
-    if (a.flows.empty()) continue;        // input already landed
-    const core::JobId job_id = a.job;
-    const int map_idx = a.map_idx;
-    JobState& j = s_.job(job_id);
-    MapTaskState& t = j.maps[static_cast<std::size_t>(map_idx)];
-    if (rec.kind == MapTaskKind::kDegraded) {
-      bool uses_node = false;
-      for (const auto& src : rec.sources) {
-        if (src.node == node) {
-          uses_node = true;
-          break;
-        }
-      }
-      if (!uses_node) continue;
-      // Re-plan the degraded read from the surviving stripe blocks and
-      // restart the whole fetch (partially-arrived shares of a different
-      // source set do not compose).
-      for (const net::FlowId f : a.flows) s_.net.cancel(f);
-      a.flows.clear();
-      auto sources =
-          j.planner->plan(t.block, rec.exec_node, s_.failure, j.rng);
-      if (!sources) {
-        rec.unrecoverable = true;
-        rec.fetch_done_time = s_.sim.now();
-        rec.finish_time = s_.sim.now();
-        s_.result.data_loss = true;
-        s_.sim.schedule_in(0.0, [this, job_id, record_idx, map_idx] {
-          map_->on_map_complete(job_id, record_idx, map_idx);
-        });
-        continue;
-      }
-      rec.sources = *sources;
-      auto remaining =
-          std::make_shared<int>(static_cast<int>(rec.sources.size()));
-      for (const auto& src : rec.sources) {
-        const net::FlowId flow = s_.net.transfer(
-            src.node, rec.exec_node, s_.cfg.block_size * src.fraction,
-            [this, job_id, record_idx, map_idx, remaining] {
-              if (--*remaining == 0) {
-                map_->on_map_input_ready(job_id, record_idx, map_idx);
-              }
-            });
-        a.flows.push_back(flow);
-      }
-      continue;
-    }
+    if (rec.source_node != node) continue;
     // Rack-local / remote input fetch from the dead node: the attempt is
     // killed and its task requeued immediately (no transient-failure charge
     // — nothing is wrong with the executing slave).
-    if (rec.source_node != node) continue;
     for (const net::FlowId f : a.flows) s_.net.cancel(f);
     a.flows.clear();
     const bool backup = a.backup;
+    const int map_idx = a.map_idx;
+    JobState& j = s_.job(a.job);
+    MapTaskState& t = j.maps[static_cast<std::size_t>(map_idx)];
     rec.finish_time = s_.sim.now();
     rec.winner = false;
     rec.outcome = AttemptOutcome::kKilled;

@@ -11,7 +11,7 @@ class ShufflePhase;
 /// heartbeat expiry), reaping of dead nodes (kill doomed attempts, requeue
 /// their tasks, re-execute lost map outputs), transient attempt failures
 /// with exponential-backoff retries, slave blacklisting, job abort after
-/// max_attempts, and re-planning of in-flight reads when a storage node
+/// max_attempts, and killing input fetches sourced from a storage node that
 /// dies.
 ///
 /// Teardown never cancels scheduled callbacks directly; detection and
@@ -60,9 +60,9 @@ class FaultSupervisor {
   void abort_job(JobState& j);
   /// Count an attempt failure on `node` toward its blacklist threshold.
   void note_attempt_failure(NodeId node);
-  /// Re-plan in-flight degraded reads (and kill doomed input fetches) that
-  /// were sourcing data from the newly-failed `node`.
-  void replan_inflight_reads(NodeId node);
+  /// Kill the rack-local / remote attempts whose input fetch reads from the
+  /// newly-failed `node` and requeue their tasks.
+  void kill_fetches_from(NodeId node);
 
  private:
   MasterState& s_;

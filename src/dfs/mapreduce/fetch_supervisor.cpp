@@ -1,6 +1,7 @@
 #include "dfs/mapreduce/fetch_supervisor.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -191,6 +192,8 @@ void FetchSupervisor::on_fetch_completed(ReadId id, std::size_t idx,
   // Stale: the attempt this flow belonged to was quashed or retried (an
   // uncontended flow cannot be cancelled; its callback is guarded here).
   if (f.done || f.gen != gen) return;
+  // on_node_failed quashes every live fetch from a node the moment it dies.
+  assert(!failure_.is_failed(f.src.node));
   f.done = true;
   f.flow = 0;
   if (f.timeout.valid()) {

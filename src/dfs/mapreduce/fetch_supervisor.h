@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "dfs/mapreduce/config.h"
@@ -34,11 +35,13 @@ struct ReadOutcome {
 /// (straggler service jitter, transient fetch failures).
 ///
 /// The supervisor is self-contained over the simulator, the network, the
-/// failure scenario, and the config's hedge/fetch/straggler knobs — the
-/// master owns one per run (created only when `cfg.fetch_supervised()`), and
+/// failure scenario, and the config's hedge/fetch/straggler knobs. The
+/// master owns one per run and sends every degraded map read through it;
 /// bench/ablation_hedging drives one directly for the MDS-queue validation
-/// leg. It consumes its own forked Rng for injection draws and replan
-/// shuffles, so owner-side RNG streams are untouched by supervision.
+/// leg. Injection draws and replan shuffles come from its own Rng, so
+/// owner-side streams are untouched by supervision. With every knob at its
+/// default it draws nothing except for a fallback replan after a source's
+/// node dies, and schedules no events of its own.
 ///
 /// Lifecycle of one read:
 ///
@@ -77,6 +80,8 @@ class FetchSupervisor {
 
   const HedgeStats& stats() const { return stats_; }
   const std::vector<FetchRecord>& fetch_records() const { return records_; }
+  /// Hand the fetch records over (end of run); the supervisor keeps none.
+  std::vector<FetchRecord> take_fetch_records() { return std::move(records_); }
   int active_reads() const { return static_cast<int>(reads_.size()); }
 
  private:

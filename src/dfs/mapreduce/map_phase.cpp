@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 #include "dfs/mapreduce/fault_supervisor.h"
@@ -285,16 +284,17 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
   attempt.backup = backup;
   MapAttempt& reg = s_.map_attempts.emplace(record_idx, std::move(attempt));
 
-  if (kind == MapTaskKind::kDegraded && s_.fetch) {
-    // Supervised path: hedged plan + fetch supervisor (cancel-on-quorum
-    // hedging, timeouts/retries, straggler injection). With hedging off the
-    // primary matches plan() exactly — same RNG draws from j.rng — and the
-    // robustness machinery draws only from the supervisor's own stream.
+  if (kind == MapTaskKind::kDegraded) {
+    // Every degraded read runs under the fetch supervisor. Only the primary
+    // plan draws from j.rng; hedges, timeouts, injection and fallback
+    // replans draw from the supervisor's own stream.
     const int extras = s_.cfg.hedge.active() ? s_.cfg.hedge.extra_sources : 0;
     auto hplan = j.planner->plan_hedged(t.block, s, s_.failure, j.rng, extras);
     if (!backup) {
-      // Pacing charges the primary option's volume: hedge fetches are
-      // redundant bytes the scheduler should not count as useful work.
+      // Cost-weighted pacing charges the primary option's volume (hedge
+      // fetches are redundant bytes, not useful work). An unrecoverable plan
+      // is charged at the expected volume so the m_d/M_d ratio stays
+      // consistent with its total_md entry.
       double plan_blocks = j.expected_degraded_cost;
       if (hplan) {
         plan_blocks = 0.0;
@@ -309,6 +309,7 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
       rec.finish_time = s_.sim.now();
       s_.result.map_tasks.push_back(std::move(rec));
       s_.result.data_loss = true;
+      // Count it done so the job can still terminate.
       s_.sim.schedule_in(0.0, [this, job_id, record_idx, map_idx] {
         on_map_complete(job_id, record_idx, map_idx);
       });
@@ -316,7 +317,7 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
     }
     rec.sources = hplan->primary;  // replaced by the arrived set on completion
     s_.result.map_tasks.push_back(std::move(rec));
-    reg.read = s_.fetch->start_read(
+    reg.read = s_.fetch.start_read(
         *j.planner, std::move(*hplan), s,
         [this, job_id, record_idx, map_idx](ReadOutcome out) {
           MapAttempt* attempt_entry = s_.map_attempts.find(record_idx);
@@ -337,53 +338,6 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
           r.sources = std::move(out.sources);
           on_map_input_ready(job_id, record_idx, map_idx);
         });
-    return;
-  }
-
-  if (kind == MapTaskKind::kDegraded) {
-    auto sources = j.planner->plan(t.block, s, s_.failure, j.rng);
-    if (!backup) {
-      // Cost-weighted pacing: charge the blocks this plan actually fetches
-      // (an unrecoverable plan is charged at the expected volume so the
-      // m_d/M_d ratio stays consistent with its total_md entry).
-      double plan_blocks = j.expected_degraded_cost;
-      if (sources) {
-        plan_blocks = 0.0;
-        for (const auto& src : *sources) plan_blocks += src.fraction;
-      }
-      t.launched_cost = plan_blocks;
-      j.md_cost += plan_blocks;
-    }
-    if (!sources) {
-      rec.unrecoverable = true;
-      rec.fetch_done_time = s_.sim.now();
-      rec.finish_time = s_.sim.now();
-      s_.result.map_tasks.push_back(std::move(rec));
-      s_.result.data_loss = true;
-      // Count it done so the job can still terminate.
-      s_.sim.schedule_in(0.0, [this, job_id, record_idx, map_idx] {
-        on_map_complete(job_id, record_idx, map_idx);
-      });
-      return;
-    }
-    rec.sources = *sources;
-    s_.result.map_tasks.push_back(std::move(rec));
-    // Fetch all source blocks in parallel; input ready when the last lands.
-    // Sub-shard plans download only src.fraction of each block.
-    auto remaining = std::make_shared<int>(static_cast<int>(
-        s_.result.map_tasks[static_cast<std::size_t>(record_idx)]
-            .sources.size()));
-    for (const auto& src :
-         s_.result.map_tasks[static_cast<std::size_t>(record_idx)].sources) {
-      const net::FlowId flow = s_.net.transfer(
-          src.node, s, s_.cfg.block_size * src.fraction,
-          [this, job_id, record_idx, map_idx, remaining] {
-            if (--*remaining == 0) {
-              on_map_input_ready(job_id, record_idx, map_idx);
-            }
-          });
-      reg.flows.push_back(flow);
-    }
     return;
   }
 

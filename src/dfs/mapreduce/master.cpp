@@ -1,10 +1,33 @@
 #include "dfs/mapreduce/master.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <stdexcept>
 
 namespace dfs::mapreduce {
+
+namespace {
+
+/// The fetch supervisor's stream. With a hedge or straggler knob set it is
+/// forked from the master's stream (knob-on traces depend on that fork).
+/// With every knob off it only ever draws for a fallback replan after a
+/// source dies, and the master's stream must not move: heartbeat phases and
+/// every job's Rng come from it, so a fork here would shift every run's
+/// trace. The seed is therefore read from a copy of the master's engine and
+/// remixed (splitmix64 finalizer) so it does not repeat the next job's fork
+/// seed.
+util::Rng supervisor_rng(const ClusterConfig& config, util::Rng& master) {
+  if (config.fetch_supervised()) return master.fork();
+  std::mt19937_64 peek = master.engine();
+  std::uint64_t z = peek() + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return util::Rng(z ^ (z >> 31));
+}
+
+}  // namespace
 
 Master::Master(sim::Simulator& simulator, net::Network& network,
                const ClusterConfig& config,
@@ -12,7 +35,8 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
                core::Scheduler& scheduler, util::Rng& rng,
                storage::SourceSelection source_selection,
                storage::RecoveryCostModel cost_model)
-    : state_(simulator, network, config, failure),
+    : state_(simulator, network, config, failure,
+             supervisor_rng(config, rng)),
       map_(state_),
       shuffle_(state_),
       fault_(state_),
@@ -33,12 +57,6 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
   }
   state_.last_degraded_assign.assign(
       static_cast<std::size_t>(config.topology.num_racks()), kNeverAssigned);
-  if (config.fetch_supervised()) {
-    // Forked only when supervision is on: an inert config spends no RNG
-    // state here, keeping unsupervised runs byte-identical.
-    state_.fetch = std::make_unique<FetchSupervisor>(
-        simulator, network, failure, state_.cfg, rng.fork());
-  }
 }
 
 void Master::submit(const JobInput& input) {
@@ -127,10 +145,10 @@ void Master::on_node_failed(NodeId node) {
   for (const core::JobId id : state_.active_jobs) {
     map_.reclassify_after_failure(state_.job(id), node);
   }
-  // The fetch supervisor retargets its own in-flight reads (fallback
-  // replans); the fault layer's replan below skips supervised attempts.
-  if (state_.fetch) state_.fetch->on_node_failed(node);
-  if (state_.cfg.fault.compute_failures) fault_.replan_inflight_reads(node);
+  // Degraded reads fall back to other sources inside the fetch supervisor;
+  // the fault layer kills the plain input fetches the dead node served.
+  state_.fetch.on_node_failed(node);
+  if (state_.cfg.fault.compute_failures) fault_.kill_fetches_from(node);
 }
 
 void Master::on_compute_failed(NodeId node) {
@@ -326,10 +344,8 @@ RackId Master::rack_of(NodeId s) const {
 }
 
 RunResult Master::take_result() {
-  if (state_.fetch) {
-    state_.result.degraded_fetches = state_.fetch->fetch_records();
-    state_.result.hedge = state_.fetch->stats();
-  }
+  state_.result.degraded_fetches = state_.fetch.take_fetch_records();
+  state_.result.hedge = state_.fetch.stats();
   state_.result.jobs.clear();
   state_.result.jobs.reserve(state_.jobs.size());
   for (const JobState& j : state_.jobs) state_.result.jobs.push_back(j.metrics);

@@ -21,7 +21,9 @@ namespace dfs::mapreduce {
 ///   through the SchedulerContext assign_* calls);
 /// - ShufflePhase — reduce assignment, partition fetches, processing;
 /// - FaultSupervisor — heartbeat expiry, reaping, requeue, blacklist,
-///   job abort, in-flight read re-planning.
+///   job abort, killing input fetches from a dead node.
+///
+/// Every degraded read runs through the FetchSupervisor in MasterState.
 class Master final : public core::SchedulerContext {
  public:
   Master(sim::Simulator& simulator, net::Network& network,

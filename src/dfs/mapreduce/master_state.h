@@ -259,8 +259,13 @@ struct SlaveState {
 struct MasterState {
   MasterState(sim::Simulator& simulator, net::Network& network,
               const ClusterConfig& config,
-              const storage::FailureScenario& failure_scenario)
-      : sim(simulator), net(network), cfg(config), failure(failure_scenario) {}
+              const storage::FailureScenario& failure_scenario,
+              util::Rng fetch_rng)
+      : sim(simulator),
+        net(network),
+        cfg(config),
+        failure(failure_scenario),
+        fetch(simulator, network, failure_scenario, config, fetch_rng) {}
 
   sim::Simulator& sim;
   net::Network& net;
@@ -282,9 +287,8 @@ struct MasterState {
   std::vector<util::Seconds> last_degraded_assign;  ///< per rack
   std::size_t jobs_done = 0;
   RunResult result;
-  /// Degraded-read fetch supervisor; created by the Master only when
-  /// cfg.fetch_supervised() — null means the legacy inline fetch path runs.
-  std::unique_ptr<FetchSupervisor> fetch;
+  /// Runs every degraded map read (see FetchSupervisor).
+  FetchSupervisor fetch;
   /// Borrowed from the owning Master (the public `Master::hooks` member).
   TaskHooks* hooks = nullptr;
 

@@ -44,8 +44,7 @@ struct MapTaskRecord {
   }
 };
 
-/// How one supervised degraded-read fetch attempt ended (fetch supervisor;
-/// recorded only when it is active).
+/// How one degraded-read fetch attempt ended (fetch supervisor).
 enum class FetchOutcome {
   kCompleted,        ///< all bytes arrived
   kCancelledQuorum,  ///< a loser: quorum completed without it
@@ -55,7 +54,7 @@ enum class FetchOutcome {
   kAbandoned,        ///< its read was torn down (attempt kill / job abort)
 };
 
-/// One supervised degraded-read fetch attempt, for tail-latency metrics.
+/// One degraded-read fetch attempt, for tail-latency metrics.
 struct FetchRecord {
   util::Seconds start = -1.0;  ///< attempt launch (service wait included)
   util::Seconds end = -1.0;
@@ -69,7 +68,7 @@ struct FetchRecord {
   util::Seconds latency() const { return end - start; }
 };
 
-/// Fetch-supervisor counters (all zero when it is inactive).
+/// Fetch-supervisor counters.
 struct HedgeStats {
   std::uint64_t reads_started = 0;
   std::uint64_t reads_completed = 0;
@@ -139,10 +138,8 @@ struct RunResult {
   std::vector<ReduceTaskRecord> reduce_tasks;
   std::vector<JobMetrics> jobs;
   std::vector<DetectionRecord> detections;  ///< declared slave deaths
-  /// Supervised degraded-read fetch attempts (empty when the fetch
-  /// supervisor is inactive).
-  std::vector<FetchRecord> degraded_fetches;
-  HedgeStats hedge;  ///< fetch-supervisor counters (zero when inactive)
+  std::vector<FetchRecord> degraded_fetches;  ///< every fetch attempt
+  HedgeStats hedge;  ///< fetch-supervisor counters
   int blacklist_events = 0;  ///< slaves blacklisted (re-blacklists count)
   util::Seconds makespan = 0.0;
   bool data_loss = false;  ///< some block was unrecoverable

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace dfs::storage {
 
@@ -112,60 +113,16 @@ double DegradedReadPlanner::option_cost(const ec::RecoveryOption& option,
 std::optional<std::vector<DegradedSource>> DegradedReadPlanner::plan(
     BlockId lost, NodeId reader, const FailureScenario& failure,
     util::Rng& rng) const {
-  // Candidate survivors of the same stripe, in preference order.
-  std::vector<int> available;
-  available.reserve(static_cast<std::size_t>(layout_.n()));
-  for (int b = 0; b < layout_.n(); ++b) {
-    if (b == lost.index) continue;
-    const NodeId holder = layout_.node_of(BlockId{lost.stripe, b});
-    if (!failure.is_failed(holder)) available.push_back(b);
-  }
-  rng.shuffle(available);
-  if (selection_ == SourceSelection::kPreferSameRack) {
-    // Closest first: blocks already on the reader (free), then the reader's
-    // rack, then the rest — so stripe-affinity task placement pays off.
-    std::stable_partition(available.begin(), available.end(), [&](int b) {
-      return topo_.same_rack(layout_.node_of(BlockId{lost.stripe, b}),
-                             reader);
-    });
-    std::stable_partition(available.begin(), available.end(), [&](int b) {
-      return layout_.node_of(BlockId{lost.stripe, b}) == reader;
-    });
-  }
-  const auto plan = code_.recovery_plan(available, lost.index);
-  if (!plan) return std::nullopt;
-  // Price every eligible candidate; a strictly cheaper one displaces the
-  // incumbent, so ties resolve to the code's preferred (earliest) option.
-  const ec::RecoveryOption* best = nullptr;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const ec::RecoveryOption& opt : plan->options) {
-    if (!eligible(opt, cost_model_)) continue;
-    const double cost = option_cost(opt, lost.stripe, reader);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = &opt;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  std::vector<DegradedSource> sources;
-  sources.reserve(best->sources.size());
-  for (const ec::RecoverySource& src : best->sources) {
-    const BlockId block{lost.stripe, src.shard};
-    const NodeId holder = layout_.node_of(block);
-    assert(holder != net::kInvalidNode);
-    sources.push_back(
-        DegradedSource{block, holder, src.fraction, src.substripes});
-  }
-  return sources;
+  auto hedged = plan_hedged(lost, reader, failure, rng, 0);
+  if (!hedged) return std::nullopt;
+  return std::move(hedged->primary);
 }
 
 std::optional<HedgedPlan> DegradedReadPlanner::plan_hedged(
     BlockId lost, NodeId reader, const FailureScenario& failure,
     util::Rng& rng, int extra_sources, const std::vector<char>& exclude)
     const {
-  // Same survivor gathering and preference shuffle as plan(): with no
-  // exclusions the primary option (and the RNG draws spent choosing it) is
-  // identical to the unhedged plan.
+  // Candidate survivors of the same stripe, in preference order.
   std::vector<int> available;
   available.reserve(static_cast<std::size_t>(layout_.n()));
   for (int b = 0; b < layout_.n(); ++b) {
@@ -176,6 +133,8 @@ std::optional<HedgedPlan> DegradedReadPlanner::plan_hedged(
   }
   rng.shuffle(available);
   if (selection_ == SourceSelection::kPreferSameRack) {
+    // Closest first: blocks already on the reader (free), then the reader's
+    // rack, then the rest — so stripe-affinity task placement pays off.
     std::stable_partition(available.begin(), available.end(), [&](int b) {
       return topo_.same_rack(layout_.node_of(BlockId{lost.stripe, b}),
                              reader);

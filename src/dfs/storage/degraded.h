@@ -91,11 +91,12 @@ class DegradedReadPlanner {
       BlockId lost, NodeId reader, const FailureScenario& failure,
       util::Rng& rng) const;
 
-  /// Hedged variant: the same cheapest-option primary as plan() (identical
-  /// RNG draws), plus up to `extra_sources` hedge fetches and the candidate
-  /// option set for quorum testing. Shards flagged in `exclude` (sized n;
-  /// may be empty for none) are treated as unavailable — the fetch
-  /// supervisor's fallback replans exclude sources that timed out or died.
+  /// Hedged plan: the cheapest eligible option as the primary (ties keep
+  /// the code's preference order), plus up to `extra_sources` hedge fetches
+  /// and the candidate option set for quorum testing. plan() is its primary
+  /// with no extras. Shards flagged in `exclude` (sized n; may be empty for
+  /// none) are treated as unavailable — the fetch supervisor's fallback
+  /// replans exclude sources that timed out or died.
   /// nullopt when the non-excluded survivors cannot reconstruct the block.
   std::optional<HedgedPlan> plan_hedged(BlockId lost, NodeId reader,
                                         const FailureScenario& failure,

@@ -62,7 +62,7 @@ struct FaultHarness {
   void kill_node(NodeId n) {
     failure.fail(n);
     master->on_node_failed(n);
-    master->on_compute_failed(n);
+    if (cfg.fault.compute_failures) master->on_compute_failed(n);
   }
 };
 
@@ -258,20 +258,31 @@ TEST(FaultTolerance, FlakySlaveIsBlacklistedAndStopsReceivingWork) {
 
 // --- hedged reads racing node death --------------------------------------------
 
-TEST(FaultTolerance, HedgedDegradedReadsSurviveHelperDeathMidFlight) {
-  // Node 2's storage is down from the start, so its blocks run as supervised
-  // degraded reads; node 7 then dies mid-run while hedged fetches are in
-  // flight. Every read must resolve — fetches from the dead helper fall back
-  // to alternative sources — and the job completes without data loss.
+/// Degraded reads under a helper's death, in two configs: hedged reads with
+/// timeouts, jitter and the fault layer on, and every knob at its default.
+class HelperDeath : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HelperDeath, DegradedReadsSurviveHelperDeathMidFlight) {
+  // Node 2's storage is down from the start, so its blocks run as degraded
+  // reads; node 7 then dies while fetches from it are in flight (degraded
+  // reads launch from ~15 s on). Every read must resolve — fetches from the
+  // dead helper fall back to alternative sources — and the job completes
+  // without data loss.
+  const bool hedged = GetParam();
+  constexpr util::Seconds kDeath = 20.0;
   FaultHarness h;
-  h.cfg.hedge.enabled = true;
-  h.cfg.hedge.extra_sources = 2;
-  h.cfg.fetch.timeout = 30.0;
-  h.cfg.straggler.service_mean = 0.2;  // jitter keeps fetches in flight
+  if (hedged) {
+    h.cfg.hedge.enabled = true;
+    h.cfg.hedge.extra_sources = 2;
+    h.cfg.fetch.timeout = 30.0;
+    h.cfg.straggler.service_mean = 0.2;  // jitter keeps fetches in flight
+  } else {
+    h.cfg.fault.compute_failures = false;
+  }
   h.failure.fail(2);
   h.build();
   h.master->submit(h.job);
-  h.sim.schedule_at(2.0, [&h] { h.kill_node(7); });
+  h.sim.schedule_at(kDeath, [&h] { h.kill_node(7); });
   h.master->start();
   h.sim.run();
 
@@ -281,18 +292,52 @@ TEST(FaultTolerance, HedgedDegradedReadsSurviveHelperDeathMidFlight) {
   EXPECT_FALSE(r.jobs[0].failed);
   EXPECT_FALSE(r.data_loss);
   EXPECT_GT(r.hedge.reads_started, 0u);
-  // Every supervised read resolved one way: completed, declared
-  // unrecoverable, or cancelled with its doomed attempt.
+  // Every read resolved one way: completed, declared unrecoverable, or
+  // cancelled with its doomed attempt.
   EXPECT_EQ(r.hedge.reads_started, r.hedge.reads_completed +
                                        r.hedge.reads_failed +
                                        r.hedge.reads_cancelled);
   EXPECT_EQ(r.hedge.reads_failed, 0u);
+  // Reads were in flight from node 7 when it died, so the case is not
+  // vacuous.
+  EXPECT_GT(r.hedge.fallback_replans, 0u);
   EXPECT_FALSE(r.degraded_fetches.empty());
   // No fetch was ever planned against node 2 — dead before any read began.
-  // (Node 7 may legitimately appear as a source of fetches that completed
-  // before its death delivered the bytes.)
   for (const auto& f : r.degraded_fetches) EXPECT_NE(f.src, 2);
+  // No read finished by reading from node 7 after it died. A read that
+  // completes later may still list node 7, but only for bytes that landed
+  // before the death (an in-rack fetch over the free node links is instant).
+  for (const auto& f : r.degraded_fetches) {
+    if (f.src == 7 && f.outcome == FetchOutcome::kCompleted) {
+      EXPECT_LE(f.end, kDeath);
+    }
+  }
+  const auto landed_before_death = [&](const MapTaskRecord& t) {
+    return std::any_of(
+        r.degraded_fetches.begin(), r.degraded_fetches.end(),
+        [&](const FetchRecord& f) {
+          return f.src == 7 && f.dst == t.exec_node &&
+                 f.outcome == FetchOutcome::kCompleted &&
+                 f.start >= t.assign_time && f.end <= kDeath;
+        });
+  };
+  for (const auto& t : r.map_tasks) {
+    if (t.kind != MapTaskKind::kDegraded || t.fetch_done_time <= kDeath) {
+      continue;
+    }
+    for (const auto& src : t.sources) {
+      if (src.node == 7) {
+        EXPECT_TRUE(landed_before_death(t)) << "map attempt " << t.id;
+      }
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(FaultTolerance, HelperDeath,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Hedged" : "Defaults";
+                         });
 
 // --- determinism ---------------------------------------------------------------
 

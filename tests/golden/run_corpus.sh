@@ -55,8 +55,9 @@ run cluster_faults dfscluster --hours 0.3 --warmup 60 --seed 3 \
   --jsonl cluster_faults.jsonl --attempts-csv cluster_faults_attempts.csv
 
 # Hedging flags explicitly at their off values: must be byte-identical to
-# cluster_base (the strictly-additive contract of the fetch supervisor — an
-# inert config spends no RNG draws and schedules no events).
+# cluster_base. Degraded reads run through the fetch supervisor either way;
+# the contract is that spelling every hedging flag at its off value behaves
+# exactly like leaving it at its default.
 run cluster_hedge_off dfscluster --hours 0.3 --warmup 60 --seed 7 --seeds 2 \
   --blocks 60 --reducers 4 --interarrival 90 --mttf-hours 1 \
   --jsonl cluster_hedge_off.jsonl --csv cluster_hedge_off_timeline.csv \

@@ -137,7 +137,7 @@ TEST(PendingPools, ReclassifyRoundTripThroughMapPhase) {
   sim::Simulator simulator;
   net::Network network(simulator, sc.cfg.topology, sc.cfg.links);
   storage::FailureScenario failure;
-  MasterState state(simulator, network, sc.cfg, failure);
+  MasterState state(simulator, network, sc.cfg, failure, util::Rng(1));
   MapPhase map(state);
   JobState fresh;
   fresh.layout = sc.job.layout;

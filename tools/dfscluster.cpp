@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   flags.number("blacklist-duration", &fault.blacklist_duration, "[0,inf)",
                "blacklist residence time, seconds");
   flags.text("attempts-csv", &attempts_csv_path, "write attempt trace CSV");
-  // Hedged degraded reads and storage fault injection: the fetch supervisor
-  // engages when --hedge > 0 or a straggler jitter/fail-prob is nonzero.
+  // Hedged degraded reads and storage fault injection. The hedging report
+  // prints when --hedge > 0 or a straggler jitter/fail-prob is nonzero.
   flags.integer("hedge", &hedge_extras, "[0,inf)", "hedge fetches per read");
   flags.integer("hedge-quorum", &hedge.min_quorum, "[0,inf)",
                 "completed fetches required for a quorum (0 = coverage)");
