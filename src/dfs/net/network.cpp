@@ -469,6 +469,10 @@ void Network::fair_share_on_completion() {
     fair_share_arm();
     return;
   }
+  // Deliver in flow start order (FlowIds are issued increasing), matching
+  // the kernel's FIFO tie-break, rather than in hash-bucket order.
+  std::sort(finished.begin(), finished.end(),
+            [](const Flow& a, const Flow& b) { return a.id < b.id; });
   for (Flow& f : finished) mark_links_active(f.links, -1);
   for (const Flow& f : finished) fair_share_leave_class(f);
   // Mark dirty before the callbacks so their re-entrant transfers coalesce

@@ -500,6 +500,28 @@ TEST(Network, FairShareSingleFlowComponentsUseFastPath) {
   EXPECT_EQ(net.fair_share_classes_active(), 0);
 }
 
+TEST(Network, CompletionBatchIsDeliveredInStartOrder) {
+  // Six equal flows on two rack pairs with interleaved starts: flows 0, 2, 4
+  // go rack 0 -> rack 1 and flows 1, 3, 5 go rack 1 -> rack 0. Each pair
+  // shares its two rack links three ways, so all six finish together in one
+  // completion batch, which must be delivered in start order — the same
+  // order the kernel's FIFO tie-break gives same-time events.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  net.set_fair_share_cross_check(true);
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    const NodeId src = i % 2 == 0 ? 0 : 2;
+    const NodeId dst = i % 2 == 0 ? 3 : 1;
+    net.transfer(src, dst, 1000.0, [&order, &f, i] {
+      EXPECT_NEAR(f.sim.now(), 30.0, 1e-6);
+      order.push_back(i);
+    });
+  }
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
 // --- cancel: idempotence and same-batch races --------------------------------
 
 TEST(Network, CancelIsIdempotentAcrossLifecycle) {
