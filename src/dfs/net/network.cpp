@@ -29,18 +29,26 @@ constexpr util::Seconds kMinHorizon = 1e-9;
 Network::Network(sim::Simulator& simulator, const Topology& topology,
                  const LinkConfig& links, ContentionModel model)
     : sim_(simulator), topology_(topology), model_(model) {
-  links_.resize(static_cast<std::size_t>(core_link()) + 1);
+  // Only limited links get an index and per-link state, numbered in
+  // topology order; unlimited ones never contend and drop out of every path.
+  // Under the default LinkConfig that leaves the rack links and skips the
+  // 2 x nodes node links.
+  link_index_.assign(static_cast<std::size_t>(core_link()) + 1, -1);
+  const auto add = [this](int topo_link, util::BytesPerSec capacity) {
+    if (capacity == util::kUnlimitedBandwidth) return;
+    link_index_[static_cast<std::size_t>(topo_link)] =
+        static_cast<int>(links_.size());
+    links_.push_back(Link{capacity});
+  };
   for (NodeId n = 0; n < topology_.num_nodes(); ++n) {
-    links_[static_cast<std::size_t>(node_up_link(n))].capacity = links.node_up;
-    links_[static_cast<std::size_t>(node_down_link(n))].capacity =
-        links.node_down;
+    add(node_up_link(n), links.node_up);
+    add(node_down_link(n), links.node_down);
   }
   for (RackId r = 0; r < topology_.num_racks(); ++r) {
-    links_[static_cast<std::size_t>(rack_up_link(r))].capacity = links.rack_up;
-    links_[static_cast<std::size_t>(rack_down_link(r))].capacity =
-        links.rack_down;
+    add(rack_up_link(r), links.rack_up);
+    add(rack_down_link(r), links.rack_down);
   }
-  links_[static_cast<std::size_t>(core_link())].capacity = links.core;
+  add(core_link(), links.core);
   // All per-link side tables are sized once here. The water-filling scratch
   // maintains the invariant that every seeded count returns to zero, so
   // recomputes never pay an O(links) clear; the flood-fill marks are
@@ -53,14 +61,12 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
   scratch_link_flows_.resize(links_.size());
 }
 
-std::vector<int> Network::contended_path(NodeId src, NodeId dst) const {
-  std::vector<int> path;
+Network::Path Network::contended_path(NodeId src, NodeId dst) const {
+  Path path;
   if (src == dst) return path;
-  auto add_if_limited = [&](int link) {
-    if (links_[static_cast<std::size_t>(link)].capacity !=
-        util::kUnlimitedBandwidth) {
-      path.push_back(link);
-    }
+  auto add_if_limited = [&](int topo_link) {
+    const int link = link_index_[static_cast<std::size_t>(topo_link)];
+    if (link >= 0) path.push_back(link);
   };
   add_if_limited(node_up_link(src));
   if (!topology_.same_rack(src, dst)) {
@@ -84,87 +90,141 @@ util::Seconds Network::isolated_transfer_time(NodeId src, NodeId dst,
 }
 
 FlowId Network::transfer(NodeId src, NodeId dst, util::Bytes size,
-                         std::function<void()> done) {
+                         sim::SmallFn done) {
   assert(size >= 0.0);
-  Flow flow;
-  flow.id = next_flow_id_++;
-  flow.src = src;
-  flow.dst = dst;
-  flow.size = size;
-  flow.remaining = size;
-  flow.links = contended_path(src, dst);
-  flow.done = std::move(done);
-  ++flows_started_;
+  const std::uint32_t slot = allocate_slot();
+  FlowSlot& f = slots_[slot];
+  f.done = std::move(done);
+  f.path = contended_path(src, dst);
+  f.size = size;
+  f.seq = flows_started_++;
+  const FlowId id = make_id(slot, f.gen);
 
-  if (flow.links.empty() || size <= kFinishEpsilon) {
+  if (f.path.empty() || size <= kFinishEpsilon) {
     // Uncontended (same node, or all segments unlimited): deliver on the
     // next dispatch so callers never observe re-entrant completion.
-    sim_.schedule_in(0.0, [this, f = std::move(flow)]() mutable {
-      Flow local = std::move(f);
-      finish_flow(local);
-    });
-    return next_flow_id_ - 1;
+    f.state = FlowState::kUncontended;
+    sim_.schedule_in(0.0, [this, slot] { deliver(slot); });
+    return id;
   }
 
   if (model_ == ContentionModel::kMaxMinFairShare) {
-    fair_share_add(std::move(flow));
+    fair_share_add(slot);
   } else {
-    fifo_pending_.push_back(std::move(flow));
+    f.state = FlowState::kPending;
+    fifo_pending_.push_back(slot);
     fifo_try_start_pending();
   }
-  return next_flow_id_ - 1;
+  return id;
 }
 
 bool Network::cancel(FlowId id) {
-  // Not started yet (FIFO queue): just drop it.
-  for (auto it = fifo_pending_.begin(); it != fifo_pending_.end(); ++it) {
-    if (it->id != id) continue;
-    fifo_pending_.erase(it);
-    ++flows_cancelled_;
-    return true;
+  const auto slot = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size()) return false;
+  FlowSlot& f = slots_[slot];
+  if (f.gen != static_cast<std::uint32_t>(id)) return false;  // stale
+  switch (f.state) {
+    case FlowState::kFree:
+    case FlowState::kUncontended:
+    case FlowState::kSuppressed:
+      return false;
+    case FlowState::kFinishing:
+      // Cancel-after-completion inside the current batch: the flow left the
+      // live set when the batch was collected, but its callback has not
+      // fired yet — suppress it and count the flow cancelled. Flows already
+      // delivered freed their slots, so their handles are stale by now.
+      f.state = FlowState::kSuppressed;
+      ++flows_cancelled_;
+      return true;
+    case FlowState::kPending:
+      // Not started yet (FIFO queue): just drop it.
+      fifo_pending_.erase(
+          std::find(fifo_pending_.begin(), fifo_pending_.end(), slot));
+      ++flows_cancelled_;
+      release_slot(slot);
+      return true;
+    case FlowState::kLive:
+      break;
   }
-  auto it = active_.find(id);
-  if (it == active_.end()) {
-    // Cancel-after-completion inside the current dispatch batch: the flow
-    // left active_ when the batch was collected, but its callback has not
-    // fired yet — suppress it and count the flow cancelled. Flows at or
-    // before dispatch_pos_ already delivered (or were suppressed), so a
-    // second cancel of the same flow falls through to false (idempotence).
-    if (dispatch_batch_ != nullptr) {
-      for (std::size_t i = dispatch_pos_ + 1; i < dispatch_batch_->size();
-           ++i) {
-        if ((*dispatch_batch_)[i].id != id) continue;
-        if (dispatch_suppressed_[i]) return false;
-        dispatch_suppressed_[i] = 1;
-        ++flows_cancelled_;
-        return true;
-      }
-    }
-    return false;
-  }
+  const Path path = f.path;
   if (model_ == ContentionModel::kMaxMinFairShare) {
     fair_share_advance();
-    Flow flow = std::move(it->second);
-    active_.erase(it);
-    mark_links_active(flow.links, -1);
+    const int cls = f.cls;
+    live_remove(static_cast<std::size_t>(f.live));
+    release_slot(slot);
+    mark_links_active(path, -1);
     ++flows_cancelled_;
-    fair_share_leave_class(flow);
-    fair_share_mark_dirty(flow.links);
+    fair_share_leave_class(cls);
+    fair_share_mark_dirty(path);
   } else {
-    Flow flow = std::move(it->second);
-    active_.erase(it);
-    sim_.cancel(flow.completion);
-    for (int link : flow.links) {
+    sim_.cancel(f.completion);
+    live_remove(static_cast<std::size_t>(f.live));
+    release_slot(slot);
+    for (int link : path) {
       links_[static_cast<std::size_t>(link)].held = false;
     }
-    mark_links_active(flow.links, -1);
+    mark_links_active(path, -1);
     ++flows_cancelled_;
     fifo_try_start_pending();
   }
   return true;
 }
 
-void Network::mark_links_active(const std::vector<int>& links, int delta) {
+std::uint32_t Network::allocate_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Network::release_slot(std::uint32_t slot) {
+  FlowSlot& f = slots_[slot];
+  assert(f.state != FlowState::kFree && f.live < 0);
+  f.done.reset();
+  f.state = FlowState::kFree;
+  if (++f.gen == 0) f.gen = 1;  // keep FlowId != 0
+  free_slots_.push_back(slot);
+}
+
+void Network::live_insert(std::uint32_t slot, util::Bytes remaining, int cls) {
+  FlowSlot& f = slots_[slot];
+  f.state = FlowState::kLive;
+  f.live = static_cast<int>(live_slot_.size());
+  f.cls = cls;
+  live_slot_.push_back(slot);
+  live_remaining_.push_back(remaining);
+  live_cls_.push_back(cls);
+}
+
+void Network::live_remove(std::size_t i) {
+  slots_[live_slot_[i]].live = -1;
+  const std::size_t last = live_slot_.size() - 1;
+  if (i != last) {
+    live_slot_[i] = live_slot_[last];
+    live_remaining_[i] = live_remaining_[last];
+    live_cls_[i] = live_cls_[last];
+    slots_[live_slot_[i]].live = static_cast<int>(i);
+  }
+  live_slot_.pop_back();
+  live_remaining_.pop_back();
+  live_cls_.pop_back();
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Free the slot before the callback runs: the callback may start flows
+  // (growing slots_) or cancel this flow's now-stale handle.
+  sim::SmallFn done = std::move(slots_[slot].done);
+  const util::Bytes size = slots_[slot].size;
+  release_slot(slot);
+  ++flows_completed_;
+  bytes_delivered_ += size;
+  if (done) done();
+}
+
+void Network::mark_links_active(const Path& links, int delta) {
   for (int link : links) {
     Link& l = links_[static_cast<std::size_t>(link)];
     if (delta > 0 && l.active_flows == 0) l.busy_since = sim_.now();
@@ -176,14 +236,10 @@ void Network::mark_links_active(const std::vector<int>& links, int delta) {
   }
 }
 
-void Network::finish_flow(Flow& flow) {
-  ++flows_completed_;
-  bytes_delivered_ += flow.size;
-  if (flow.done) flow.done();
-}
-
 util::Seconds Network::rack_down_busy_time(RackId r) const {
-  const Link& l = links_[static_cast<std::size_t>(rack_down_link(r))];
+  const int link = link_index_[static_cast<std::size_t>(rack_down_link(r))];
+  if (link < 0) return 0.0;  // unlimited: never carries a contended flow
+  const Link& l = links_[static_cast<std::size_t>(link)];
   util::Seconds total = l.busy_total;
   if (l.active_flows > 0) total += sim_.now() - l.busy_since;
   return total;
@@ -213,18 +269,17 @@ Network::Stats Network::stats() const {
 // recompute after every already-queued event at the same timestamp, no
 // simulated time ever passes under stale rates.
 
-void Network::fair_share_add(Flow flow) {
+void Network::fair_share_add(std::uint32_t slot) {
   fair_share_advance();
-  mark_links_active(flow.links, +1);
-  flow.cls = fair_share_class_for(flow.links);
-  ++classes_[static_cast<std::size_t>(flow.cls)].count;
-  const FlowId id = flow.id;
-  auto [it, inserted] = active_.emplace(id, std::move(flow));
-  assert(inserted);
-  fair_share_mark_dirty(it->second.links);
+  const Path& path = slots_[slot].path;
+  mark_links_active(path, +1);
+  const int cls = fair_share_class_for(path);
+  ++classes_[static_cast<std::size_t>(cls)].count;
+  live_insert(slot, slots_[slot].size, cls);
+  fair_share_mark_dirty(path);
 }
 
-int Network::fair_share_class_for(const std::vector<int>& path) {
+int Network::fair_share_class_for(const Path& path) {
   const auto found = class_by_path_.find(path);
   if (found != class_by_path_.end()) return found->second;
   int cid;
@@ -237,28 +292,28 @@ int Network::fair_share_class_for(const std::vector<int>& path) {
   }
   FlowClass& c = classes_[static_cast<std::size_t>(cid)];
   c.links = path;
-  c.link_pos.resize(path.size());
   c.count = 0;
   c.rate = 0.0;
-  for (std::size_t s = 0; s < path.size(); ++s) {
+  for (int s = 0; s < path.size; ++s) {
     auto& lc = link_classes_[static_cast<std::size_t>(path[s])];
-    c.link_pos[s] = static_cast<int>(lc.size());
-    lc.emplace_back(cid, static_cast<int>(s));
+    c.link_pos[static_cast<std::size_t>(s)] = static_cast<int>(lc.size());
+    lc.emplace_back(cid, s);
   }
   class_by_path_.emplace(path, cid);
   return cid;
 }
 
-void Network::fair_share_leave_class(const Flow& flow) {
-  FlowClass& c = classes_[static_cast<std::size_t>(flow.cls)];
+void Network::fair_share_leave_class(int cid) {
+  FlowClass& c = classes_[static_cast<std::size_t>(cid)];
   assert(c.count > 0);
   if (--c.count > 0) return;
   // Last member gone: unlink the class from every link's membership list
   // (swap-removal; the back-reference in the moved entry is patched) and
   // recycle the slot.
-  for (std::size_t s = 0; s < c.links.size(); ++s) {
+  for (int s = 0; s < c.links.size; ++s) {
     auto& lc = link_classes_[static_cast<std::size_t>(c.links[s])];
-    const auto pos = static_cast<std::size_t>(c.link_pos[s]);
+    const auto pos =
+        static_cast<std::size_t>(c.link_pos[static_cast<std::size_t>(s)]);
     const std::pair<int, int> moved = lc.back();
     lc[pos] = moved;
     lc.pop_back();
@@ -269,12 +324,10 @@ void Network::fair_share_leave_class(const Flow& flow) {
     }
   }
   class_by_path_.erase(c.links);
-  c.links.clear();
-  c.link_pos.clear();
-  free_classes_.push_back(flow.cls);
+  free_classes_.push_back(cid);
 }
 
-void Network::fair_share_mark_dirty(const std::vector<int>& links) {
+void Network::fair_share_mark_dirty(const Path& links) {
   for (const int l : links) {
     if (!link_dirty_[static_cast<std::size_t>(l)]) {
       link_dirty_[static_cast<std::size_t>(l)] = 1;
@@ -299,10 +352,10 @@ void Network::fair_share_advance() {
   const util::Seconds now = sim_.now();
   const util::Seconds dt = now - last_advance_;
   if (dt > 0.0) {
-    for (auto& [id, f] : active_) {
-      f.remaining = std::max(
-          0.0, f.remaining -
-                   classes_[static_cast<std::size_t>(f.cls)].rate * dt);
+    for (std::size_t i = 0; i < live_remaining_.size(); ++i) {
+      live_remaining_[i] = std::max(
+          0.0, live_remaining_[i] -
+                   classes_[static_cast<std::size_t>(live_cls_[i])].rate * dt);
     }
   }
   last_advance_ = now;
@@ -435,16 +488,16 @@ void Network::fair_share_arm() {
     sim_.cancel(next_completion_);
     next_completion_ = {};
   }
-  if (active_.empty()) return;
+  if (live_slot_.empty()) return;
 
   // Arm the next completion event. Flows frozen at a zero rate (possible
   // only through floating-point drift on a saturated link) simply wait for
   // the next recompute, when a competing flow's completion frees capacity.
   util::Seconds horizon = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : active_) {
-    const double rate = classes_[static_cast<std::size_t>(f.cls)].rate;
+  for (std::size_t i = 0; i < live_remaining_.size(); ++i) {
+    const double rate = classes_[static_cast<std::size_t>(live_cls_[i])].rate;
     if (rate <= 0.0) continue;
-    horizon = std::min(horizon, f.remaining / rate);
+    horizon = std::min(horizon, live_remaining_[i] / rate);
   }
   assert(horizon < std::numeric_limits<double>::infinity());
   next_completion_ = sim_.schedule_in(std::max(kMinHorizon, horizon),
@@ -454,57 +507,62 @@ void Network::fair_share_arm() {
 void Network::fair_share_on_completion() {
   next_completion_ = {};
   fair_share_advance();
-  std::vector<Flow> finished;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remaining <= kFinishEpsilon) {
-      finished.push_back(std::move(it->second));
-      it = active_.erase(it);
+  batch_.clear();
+  for (std::size_t i = 0; i < live_remaining_.size();) {
+    if (live_remaining_[i] <= kFinishEpsilon) {
+      const std::uint32_t slot = live_slot_[i];
+      batch_.push_back({slots_[slot].seq, slot});
+      live_remove(i);  // moves the last live flow into i: look at i again
     } else {
-      ++it;
+      ++i;
     }
   }
-  if (finished.empty()) {
+  if (batch_.empty()) {
     // Nothing actually crossed the finish line (floating-point drift on the
     // horizon); re-arm from the unchanged rates and try again.
     fair_share_arm();
     return;
   }
-  // Deliver in flow start order (FlowIds are issued increasing), matching
-  // the kernel's FIFO tie-break, rather than in hash-bucket order.
-  std::sort(finished.begin(), finished.end(),
-            [](const Flow& a, const Flow& b) { return a.id < b.id; });
-  for (Flow& f : finished) mark_links_active(f.links, -1);
-  for (const Flow& f : finished) fair_share_leave_class(f);
+  // Deliver in flow start order, matching the kernel's FIFO tie-break; the
+  // live arrays are in swap-removal order.
+  std::sort(batch_.begin(), batch_.end());
+  for (const auto& [seq, slot] : batch_) {
+    slots_[slot].state = FlowState::kFinishing;
+    mark_links_active(slots_[slot].path, -1);
+  }
+  for (const auto& [seq, slot] : batch_) {
+    fair_share_leave_class(slots_[slot].cls);
+  }
   // Mark dirty before the callbacks so their re-entrant transfers coalesce
   // into the same zero-delay recompute, which also performs the final
   // re-arm for this timestamp.
-  for (const Flow& f : finished) fair_share_mark_dirty(f.links);
-  // Deliver the batch. A callback may cancel() a later flow of this same
-  // batch (hedged reads cancelling losers); cancel marks it in
-  // dispatch_suppressed_ and the loop skips it — cancelled, not completed.
-  dispatch_suppressed_.assign(finished.size(), 0);
-  dispatch_batch_ = &finished;
-  for (dispatch_pos_ = 0; dispatch_pos_ < finished.size(); ++dispatch_pos_) {
-    if (dispatch_suppressed_[dispatch_pos_]) continue;
-    finish_flow(finished[dispatch_pos_]);
+  for (const auto& [seq, slot] : batch_) {
+    fair_share_mark_dirty(slots_[slot].path);
   }
-  dispatch_batch_ = nullptr;
+  // Deliver the batch. A callback may cancel() a later flow of this same
+  // batch (hedged reads cancelling losers); cancel marks it kSuppressed and
+  // the loop drops it — cancelled, not completed. Callbacks never re-enter
+  // this function, so batch_ is stable while they run.
+  for (const auto& [seq, slot] : batch_) {
+    if (slots_[slot].state == FlowState::kSuppressed) {
+      release_slot(slot);
+    } else {
+      deliver(slot);
+    }
+  }
 }
 
-void Network::fair_share_naive_rates(std::unordered_map<FlowId, double>& out) {
+void Network::fair_share_naive_rates(std::vector<double>& out) {
   ++full_recomputes_;
-  out.clear();
-  if (active_.empty()) return;
-
   // The pre-aggregation engine's progressive water-filling, verbatim, over
   // individual flows: the reference every class/component/batching decision
   // is checked against. Scratch counts return to zero by construction (one
   // increment while seeding, one decrement when the flow freezes), so the
   // production component passes never see leftovers.
+  out.assign(live_slot_.size(), -1.0);  // unfrozen marker
   scratch_touched_.clear();
-  for (auto& [id, f] : active_) {
-    out[id] = -1.0;  // unfrozen marker
-    for (int link : f.links) {
+  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
+    for (int link : slots_[live_slot_[i]].path) {
       const auto l = static_cast<std::size_t>(link);
       if (scratch_count_[l] == 0) {
         scratch_touched_.push_back(link);
@@ -512,10 +570,10 @@ void Network::fair_share_naive_rates(std::unordered_map<FlowId, double>& out) {
         scratch_link_flows_[l].clear();
       }
       ++scratch_count_[l];
-      scratch_link_flows_[l].push_back(id);
+      scratch_link_flows_[l].push_back(static_cast<int>(i));
     }
   }
-  std::size_t unfrozen = active_.size();
+  std::size_t unfrozen = live_slot_.size();
   while (unfrozen > 0) {
     int bottleneck = -1;
     double best_share = std::numeric_limits<double>::infinity();
@@ -530,14 +588,12 @@ void Network::fair_share_naive_rates(std::unordered_map<FlowId, double>& out) {
       }
     }
     assert(bottleneck >= 0 && "every flow crosses at least one limited link");
-    for (FlowId id : scratch_link_flows_[static_cast<std::size_t>(bottleneck)]) {
-      double& rate = out[id];
+    for (const int i : scratch_link_flows_[static_cast<std::size_t>(bottleneck)]) {
+      double& rate = out[static_cast<std::size_t>(i)];
       if (rate >= 0.0) continue;  // already frozen via another link
       rate = best_share;
       --unfrozen;
-      const auto fit = active_.find(id);
-      assert(fit != active_.end() && "water-filling indexed an unknown flow");
-      for (int link : fit->second.links) {
+      for (int link : slots_[live_slot_[static_cast<std::size_t>(i)]].path) {
         scratch_residual_[static_cast<std::size_t>(link)] -= best_share;
         --scratch_count_[static_cast<std::size_t>(link)];
       }
@@ -546,7 +602,38 @@ void Network::fair_share_naive_rates(std::unordered_map<FlowId, double>& out) {
 }
 
 void Network::fair_share_cross_check() {
-  // Bookkeeping invariants: the class multiplicities must tile the active
+  // Slab invariants: every live index and its slot's back-reference agree,
+  // the slab holds exactly active_flow_count() live flows, and no free slot
+  // is live or indexed.
+  std::size_t live_slots = 0;
+  std::size_t free_slots = 0;
+  for (const FlowSlot& f : slots_) {
+    if (f.state == FlowState::kLive) ++live_slots;
+    if (f.state == FlowState::kFree) {
+      ++free_slots;
+      if (f.live >= 0) {
+        throw std::logic_error("fair-share cross check: free slot is live");
+      }
+    }
+  }
+  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
+    const FlowSlot& f = slots_[live_slot_[i]];
+    if (f.state != FlowState::kLive || f.live != static_cast<int>(i) ||
+        f.cls != live_cls_[i]) {
+      throw std::logic_error(
+          "fair-share cross check: live index " + std::to_string(i) +
+          " and its slot's back-reference disagree");
+    }
+  }
+  if (live_slots != static_cast<std::size_t>(active_flow_count()) ||
+      free_slots != free_slots_.size()) {
+    throw std::logic_error(
+        "fair-share cross check: slab holds " + std::to_string(live_slots) +
+        " live and " + std::to_string(free_slots) + " free slots, expected " +
+        std::to_string(active_flow_count()) + " and " +
+        std::to_string(free_slots_.size()));
+  }
+  // Bookkeeping invariants: the class multiplicities must tile the live
   // set exactly, and every class must be reachable through its links.
   std::size_t members = 0;
   for (const auto& [path, cid] : class_by_path_) {
@@ -556,28 +643,28 @@ void Network::fair_share_cross_check() {
     }
     members += static_cast<std::size_t>(c.count);
   }
-  if (members != active_.size()) {
+  if (members != live_slot_.size()) {
     throw std::logic_error(
         "fair-share cross check: class multiplicities (" +
         std::to_string(members) + ") do not tile the active set (" +
-        std::to_string(active_.size()) + ")");
+        std::to_string(live_slot_.size()) + ")");
   }
   // Re-derive every rate with the naive per-flow reference and demand
   // agreement (up to floating-point noise: the reference accumulates link
   // residuals in flow order rather than class order).
-  std::unordered_map<FlowId, double> naive;
+  std::vector<double> naive;
   fair_share_naive_rates(naive);
-  for (const auto& [id, f] : active_) {
-    const double engine = classes_[static_cast<std::size_t>(f.cls)].rate;
-    const auto it = naive.find(id);
-    assert(it != naive.end());
-    const double full = it->second;
+  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
+    const double engine = classes_[static_cast<std::size_t>(live_cls_[i])].rate;
+    const double full = naive[i];
     const double tol = 1e-9 * std::max(1.0, std::abs(full));
     if (std::abs(full - engine) > tol) {
+      const std::uint32_t slot = live_slot_[i];
       throw std::logic_error(
           "fair-share batched/aggregated engine diverged from the naive "
           "per-flow pass: flow " +
-          std::to_string(id) + " engine=" + std::to_string(engine) +
+          std::to_string(make_id(slot, slots_[slot].gen)) +
+          " engine=" + std::to_string(engine) +
           " naive=" + std::to_string(full));
     }
   }
@@ -587,45 +674,41 @@ void Network::fair_share_cross_check() {
 
 void Network::fifo_try_start_pending() {
   for (auto it = fifo_pending_.begin(); it != fifo_pending_.end();) {
-    const bool all_free = std::all_of(
-        it->links.begin(), it->links.end(), [this](int link) {
+    const std::uint32_t slot = *it;
+    const Path& path = slots_[slot].path;
+    const bool all_free =
+        std::all_of(path.begin(), path.end(), [this](int link) {
           return !links_[static_cast<std::size_t>(link)].held;
         });
     if (!all_free) {
       ++it;
       continue;
     }
-    Flow flow = std::move(*it);
     it = fifo_pending_.erase(it);
-    for (int link : flow.links) {
+    for (int link : path) {
       links_[static_cast<std::size_t>(link)].held = true;
     }
-    mark_links_active(flow.links, +1);
+    mark_links_active(path, +1);
     util::BytesPerSec bottleneck = std::numeric_limits<double>::infinity();
-    for (int link : flow.links) {
+    for (int link : path) {
       bottleneck = std::min(
           bottleneck, links_[static_cast<std::size_t>(link)].capacity);
     }
-    const util::Seconds duration = flow.remaining / bottleneck;
-    const FlowId id = flow.id;
-    auto [slot, inserted] = active_.emplace(id, std::move(flow));
-    assert(inserted);
-    slot->second.completion =
-        sim_.schedule_in(duration, [this, id] { fifo_complete(id); });
+    const util::Seconds duration = slots_[slot].size / bottleneck;
+    live_insert(slot, slots_[slot].size, -1);
+    slots_[slot].completion =
+        sim_.schedule_in(duration, [this, slot] { fifo_complete(slot); });
   }
 }
 
-void Network::fifo_complete(FlowId id) {
-  auto it = active_.find(id);
-  assert(it != active_.end());
-  Flow flow = std::move(it->second);
-  active_.erase(it);
-  for (int link : flow.links) {
+void Network::fifo_complete(std::uint32_t slot) {
+  const Path path = slots_[slot].path;
+  live_remove(static_cast<std::size_t>(slots_[slot].live));
+  for (int link : path) {
     links_[static_cast<std::size_t>(link)].held = false;
   }
-  mark_links_active(flow.links, -1);
-  flow.remaining = 0.0;
-  finish_flow(flow);
+  mark_links_active(path, -1);
+  deliver(slot);
   fifo_try_start_pending();
 }
 

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dfs/net/topology.h"
@@ -42,6 +44,11 @@ struct LinkConfig {
   util::BytesPerSec core = util::kUnlimitedBandwidth;  ///< aggregate core cap
 };
 
+/// Handle to a transfer: its flow-slab slot in the high 32 bits and the
+/// slot's generation in the low 32. Generations start at 1, so a handle is
+/// never 0 and callers may keep 0 as "no flow". A handle to a flow that
+/// completed or was cancelled (its slot freed, maybe reused since) no longer
+/// matches its slot's generation and is detected in O(1).
 using FlowId = std::uint64_t;
 
 /// Flow-level network model over a Topology, driven by a Simulator.
@@ -49,7 +56,16 @@ using FlowId = std::uint64_t;
 /// Transfers are fluid flows routed src-node-up → src-rack-up → core →
 /// dst-rack-down → dst-node-down (segments collapse away when the endpoints
 /// share a rack or a node, or when a segment is unlimited). Completion
-/// callbacks fire at the simulated completion time.
+/// callbacks fire at the simulated completion time. Flows that finish at
+/// the same instant are delivered in the order they were started, the same
+/// FIFO tie-break the event kernel gives same-time events.
+///
+/// Every flow lives in a slab of generation-tagged slots (the pattern of
+/// sim::Simulator's event slots): its path is an inline array and its
+/// callback a sim::SmallFn, so starting a flow allocates nothing once the
+/// slab has grown, and cancel() is an indexed access. Live flows are also
+/// indexed by dense arrays of slot, residual bytes and class, which the
+/// per-timestamp passes (advance, arm, collect finished) sweep linearly.
 ///
 /// The max–min fair-share model allocates rates by water-filling, organized
 /// around three exact optimizations (docs/performance.md has the full
@@ -93,7 +109,7 @@ class Network {
   /// src == dst, or all links on the path unlimited) completes after zero
   /// simulated time, on the next event-loop dispatch.
   FlowId transfer(NodeId src, NodeId dst, util::Bytes size,
-                  std::function<void()> done);
+                  sim::SmallFn done);
 
   /// Cancel an in-flight transfer: its callback never fires and its share of
   /// every link is released immediately. Idempotent — a second cancel of the
@@ -104,9 +120,9 @@ class Network {
   /// loser crossing the line together with the winner), the victim's
   /// callback is suppressed and the flow counts as cancelled, not
   /// completed. Returns false when the flow is not cancellable — already
-  /// completed (callback delivered), unknown, or uncontended (uncontended
-  /// flows complete on the next dispatch and are never tracked; callers must
-  /// guard their callbacks instead).
+  /// completed (callback delivered), unknown or stale, or uncontended
+  /// (uncontended flows complete on the next dispatch whatever happens;
+  /// callers must guard their callbacks instead).
   bool cancel(FlowId id);
 
   /// Lower bound on the completion time of one isolated transfer.
@@ -120,8 +136,10 @@ class Network {
   /// rate with a naive per-flow water-filling pass over the whole active set
   /// and verify the class-aggregated, component-scoped engine produced the
   /// same allocation (throws std::logic_error on divergence). Also checks
-  /// the class bookkeeping invariants. Costs a full pass per recompute — for
-  /// tests only.
+  /// the class bookkeeping and the flow slab: every live index agrees with
+  /// its slot's back-reference, the slab holds exactly active_flow_count()
+  /// live flows, and no free slot is live. Costs a full pass per recompute —
+  /// for tests only.
   void set_fair_share_cross_check(bool on) { cross_check_ = on; }
 
   // --- observability -------------------------------------------------------
@@ -150,7 +168,8 @@ class Network {
   }
   Stats stats() const;
   util::Bytes bytes_delivered() const { return bytes_delivered_; }
-  int active_flow_count() const { return static_cast<int>(active_.size()); }
+  /// Flows in flight (fair share) or holding their links (exclusive FIFO).
+  int active_flow_count() const { return static_cast<int>(live_slot_.size()); }
   /// Total time the given rack's downlink had at least one active flow.
   util::Seconds rack_down_busy_time(RackId r) const;
 
@@ -163,32 +182,25 @@ class Network {
     util::Seconds busy_total = 0.0;
   };
 
-  struct Flow {
-    FlowId id = 0;
-    NodeId src = 0;
-    NodeId dst = 0;
-    util::Bytes size = 0.0;
-    util::Bytes remaining = 0.0;
-    int cls = -1;  // fair-share model: index into classes_
-    std::vector<int> links;
-    std::function<void()> done;
-    sim::EventId completion{};  // kExclusiveFifo: armed completion event
-  };
+  /// A contended path, inline: at most node-up, rack-up, core, rack-down
+  /// and node-down. Also the key that maps a path to its flow class.
+  struct Path {
+    static constexpr int kMaxLinks = 5;
+    std::array<int, kMaxLinks> link{};
+    int size = 0;
 
-  /// One equivalence class of fair-share flows: every flow with this
-  /// contended path. Max–min gives them all the same rate, so the class
-  /// carries one rate and a multiplicity; water-filling runs over classes.
-  struct FlowClass {
-    std::vector<int> links;     ///< the shared contended path
-    std::vector<int> link_pos;  ///< this class's slot in link_classes_[links[i]]
-    int count = 0;              ///< member flows
-    double rate = 0.0;          ///< bytes/sec per member flow
-    double wf_rate = 0.0;       ///< water-filling scratch (unfrozen marker)
-    util::Epoch::Ticket visit = 0;  ///< flood-fill epoch mark
+    const int* begin() const { return link.data(); }
+    const int* end() const { return link.data() + size; }
+    bool empty() const { return size == 0; }
+    int operator[](int i) const { return link[static_cast<std::size_t>(i)]; }
+    void push_back(int l) { link[static_cast<std::size_t>(size++)] = l; }
+    bool operator==(const Path& o) const {
+      return size == o.size && std::equal(begin(), end(), o.begin());
+    }
   };
 
   struct PathHash {
-    std::size_t operator()(const std::vector<int>& p) const {
+    std::size_t operator()(const Path& p) const {
       std::size_t h = 1469598103934665603ull;
       for (int v : p) {
         h ^= static_cast<std::size_t>(static_cast<unsigned>(v));
@@ -198,19 +210,68 @@ class Network {
     }
   };
 
-  std::vector<int> contended_path(NodeId src, NodeId dst) const;
+  enum class FlowState : std::uint8_t {
+    kFree,         ///< on free_slots_
+    kUncontended,  ///< zero-delay delivery queued; not cancellable
+    kPending,      ///< kExclusiveFifo: queued on fifo_pending_
+    kLive,         ///< in flight, indexed by live_slot_[live]
+    kFinishing,    ///< in the completion batch being delivered
+    kSuppressed,   ///< cancelled inside that batch; never delivered
+  };
+
+  /// One flow-slab cell. `gen` is bumped each time the slot is freed, so a
+  /// FlowId minted for an earlier occupant never matches again.
+  struct FlowSlot {
+    sim::SmallFn done;
+    Path path;
+    util::Bytes size = 0.0;
+    std::uint64_t seq = 0;       ///< start order; orders completion batches
+    sim::EventId completion{};   ///< kExclusiveFifo: armed completion event
+    std::uint32_t gen = 1;
+    int live = -1;               ///< index into the live arrays, or -1
+    int cls = -1;                ///< fair-share model: index into classes_
+    FlowState state = FlowState::kFree;
+  };
+
+  /// One equivalence class of fair-share flows: every flow with this
+  /// contended path. Max–min gives them all the same rate, so the class
+  /// carries one rate and a multiplicity; water-filling runs over classes.
+  struct FlowClass {
+    Path links;                 ///< the shared contended path
+    /// This class's slot in link_classes_[links[i]].
+    std::array<int, Path::kMaxLinks> link_pos{};
+    int count = 0;              ///< member flows
+    double rate = 0.0;          ///< bytes/sec per member flow
+    double wf_rate = 0.0;       ///< water-filling scratch (unfrozen marker)
+    util::Epoch::Ticket visit = 0;  ///< flood-fill epoch mark
+  };
+
+  Path contended_path(NodeId src, NodeId dst) const;
+
+  // Flow slab.
+  static FlowId make_id(std::uint32_t slot, std::uint32_t gen) {
+    return (static_cast<FlowId>(slot) << 32) | gen;
+  }
+  std::uint32_t allocate_slot();
+  void release_slot(std::uint32_t slot);
+  /// Append the slot to the live arrays (state becomes kLive).
+  void live_insert(std::uint32_t slot, util::Bytes remaining, int cls);
+  /// Swap-remove live index `i`, patching the moved slot's back-reference.
+  void live_remove(std::size_t i);
+  /// Free the slot, count the flow completed and run its callback.
+  void deliver(std::uint32_t slot);
 
   // Fair-share model.
-  void fair_share_add(Flow flow);
+  void fair_share_add(std::uint32_t slot);
   void fair_share_advance();
   /// Find or create the class for `path`; returns its index.
-  int fair_share_class_for(const std::vector<int>& path);
-  /// Drop one member from flow's class, destroying the class at zero.
-  void fair_share_leave_class(const Flow& flow);
-  /// Mark the flow's links dirty and ensure one zero-delay recompute event
+  int fair_share_class_for(const Path& path);
+  /// Drop one member from class `cid`, destroying the class at zero.
+  void fair_share_leave_class(int cid);
+  /// Mark the path's links dirty and ensure one zero-delay recompute event
   /// is queued; also disarms the stale completion horizon (the recompute
   /// re-arms from fresh rates, exactly like the old per-op re-arm did).
-  void fair_share_mark_dirty(const std::vector<int>& links);
+  void fair_share_mark_dirty(const Path& links);
   /// The coalesced recompute: flood-fill components from the dirty links,
   /// water-fill each touched component over its classes, cross-check if
   /// enabled, re-arm the completion horizon.
@@ -227,20 +288,20 @@ class Network {
   void fair_share_waterfill_component(const ComponentRange& comp);
   void fair_share_arm();
   void fair_share_on_completion();
-  /// Naive per-flow water-filling over the whole active set (the reference
-  /// the optimized engine must agree with); writes into `out`.
-  void fair_share_naive_rates(std::unordered_map<FlowId, double>& out);
+  /// Naive per-flow water-filling over the whole live set (the reference
+  /// the optimized engine must agree with); writes one rate per live index
+  /// into `out`.
+  void fair_share_naive_rates(std::vector<double>& out);
   void fair_share_cross_check();
 
   // Exclusive-FIFO model.
   void fifo_try_start_pending();
-  void fifo_complete(FlowId id);
+  void fifo_complete(std::uint32_t slot);
 
-  void mark_links_active(const std::vector<int>& links, int delta);
-  void finish_flow(Flow& flow);
+  void mark_links_active(const Path& links, int delta);
 
-  // Link index layout: [0, 2N) node up/down, [2N, 2N+2R) rack up/down,
-  // [2N+2R] core.
+  // Topology link layout: [0, 2N) node up/down, [2N, 2N+2R) rack up/down,
+  // [2N+2R] core. link_index_ maps these to indices into links_.
   int node_up_link(NodeId n) const { return 2 * n; }
   int node_down_link(NodeId n) const { return 2 * n + 1; }
   int rack_up_link(RackId r) const { return 2 * topology_.num_nodes() + 2 * r; }
@@ -254,11 +315,18 @@ class Network {
   sim::Simulator& sim_;
   const Topology& topology_;
   ContentionModel model_;
-  std::vector<Link> links_;
+  std::vector<Link> links_;       ///< limited links only
+  std::vector<int> link_index_;   ///< topology link -> links_ index, or -1
 
-  FlowId next_flow_id_ = 1;
-  std::unordered_map<FlowId, Flow> active_;
-  std::deque<Flow> fifo_pending_;
+  // Flow slab: every started, undelivered flow holds a slot.
+  std::vector<FlowSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  // Live flows (fair-share in flight, or FIFO holding its links), dense and
+  // in no particular order; live_slot_[i] names the slot whose `live` is i.
+  std::vector<std::uint32_t> live_slot_;
+  std::vector<util::Bytes> live_remaining_;  ///< fair-share residual bytes
+  std::vector<int> live_cls_;                ///< fair-share class per flow
+  std::deque<std::uint32_t> fifo_pending_;  ///< kExclusiveFifo wait queue
 
   // Fair-share bookkeeping.
   util::Seconds last_advance_ = 0.0;
@@ -267,7 +335,7 @@ class Network {
   // Flow classes and the class/link sharing graph.
   std::vector<FlowClass> classes_;  ///< slab; free slots on free_classes_
   std::vector<int> free_classes_;
-  std::unordered_map<std::vector<int>, int, PathHash> class_by_path_;
+  std::unordered_map<Path, int, PathHash> class_by_path_;
   /// Per link: (class index, slot of this link in that class's `links`).
   /// The back-reference keeps swap-removal O(1) on class destruction.
   std::vector<std::vector<std::pair<int, int>>> link_classes_;
@@ -277,13 +345,11 @@ class Network {
   std::vector<char> link_dirty_;
   bool recompute_scheduled_ = false;
 
-  // Completion-batch dispatch state: while fair_share_on_completion delivers
-  // its batch of callbacks, cancel() of a later flow in the same batch marks
-  // it suppressed here instead of failing (a hedged read cancelling a loser
-  // that finished in the winner's timestamp batch). Null outside dispatch.
-  std::vector<Flow>* dispatch_batch_ = nullptr;
-  std::size_t dispatch_pos_ = 0;
-  std::vector<char> dispatch_suppressed_;
+  // The completion batch being collected and delivered, as (start order,
+  // slot) pairs sorted by start order. Its undelivered flows are kFinishing,
+  // so cancel() of one (a hedged read cancelling a loser that finished in
+  // the winner's timestamp batch) marks it kSuppressed instead of failing.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> batch_;
 
   // Flood-fill + water-filling scratch, reused across recomputes. Residuals
   // and counts are only read for links seeded by the current component, so
@@ -296,7 +362,7 @@ class Network {
   std::vector<double> scratch_residual_;
   std::vector<int> scratch_count_;
   std::vector<int> scratch_touched_;  ///< naive reference pass only
-  std::vector<std::vector<FlowId>> scratch_link_flows_;  ///< naive pass only
+  std::vector<std::vector<int>> scratch_link_flows_;  ///< naive pass only
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;

@@ -12,9 +12,10 @@ namespace dfs::sim {
 /// The event kernel stores one of these in every slab slot, so a closure
 /// whose captures fit `kInlineSize` bytes is scheduled without any heap
 /// allocation — which covers every hot caller in the tree (heartbeats,
-/// completion events, periodic drivers). Larger callables (e.g. a closure
-/// that owns a whole net::Flow) fall back to one heap allocation, exactly
-/// what std::function would have done, so nothing is lost on the cold path.
+/// completion events, periodic drivers, net::Network's flow callbacks and
+/// its `{this, slot}` delivery closures). Larger callables fall back to one
+/// heap allocation, exactly what std::function would have done, so nothing
+/// is lost on the cold path.
 class SmallFn {
  public:
   /// Inline capacity in bytes. Sized to hold a captured `this` plus a few

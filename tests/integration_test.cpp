@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "dfs/analysis/model.h"
+#include "dfs/cluster/simulation.h"
 #include "dfs/core/degraded_first.h"
 #include "dfs/core/locality_first.h"
+#include "dfs/core/scheduler.h"
 #include "dfs/mapreduce/simulation.h"
+#include "dfs/mapreduce/trace.h"
 #include "dfs/storage/failure.h"
 #include "dfs/workload/scenarios.h"
 
@@ -224,6 +229,117 @@ TEST(Integration, SimulatorTracksAnalysisTrends) {
   const double edf_large = run_norm(edf, 20, 15, 3);
   EXPECT_GT(lf_large, lf_small);   // LF hurt by larger k
   EXPECT_LT(edf_large, lf_large);  // EDF beats LF at large k
+}
+
+// --- the network's fair-share cross-check on real traffic -------------------------
+//
+// Network::set_fair_share_cross_check re-derives every rate with a naive
+// per-flow pass after each recompute and checks the flow slab's indices. Here
+// it runs under the traffic the simulator really produces: hedged degraded
+// reads whose losers are cancelled, retries, shuffles, repairs and killed
+// attempts. A divergence throws out of run(); the checked run must also be
+// indistinguishable from the unchecked one.
+
+/// Every network counter except the cross-check's own reference passes.
+std::string net_fingerprint(const net::Network::Stats& s) {
+  std::ostringstream os;
+  os << s.flows_started << ' ' << s.flows_completed << ' '
+     << s.flows_cancelled << ' ' << s.fast_paths << ' '
+     << s.batched_recomputes << ' ' << s.component_recomputes << ' '
+     << s.classes_active << ' ' << s.bytes_delivered;
+  return os.str();
+}
+
+/// Hedged §V-B runs with 5% transient fetch failures, with and without
+/// straggler service jitter. Without jitter a read's fetches start together,
+/// so its losers often cross the line in the winner's completion batch and
+/// are cancelled there; with jitter (10% stragglers at 4x) they are
+/// cancelled mid-flight.
+class HedgedCrossCheck : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HedgedCrossCheck, MatchesTheUncheckedRun) {
+  const bool jitter = GetParam();
+  mapreduce::ClusterConfig cfg = workload::default_sim_cluster();
+  cfg.hedge.enabled = true;
+  cfg.hedge.extra_sources = 2;
+  cfg.straggler.fraction = 0.1;
+  cfg.straggler.slowdown = 4.0;
+  cfg.straggler.service_mean = jitter ? 0.5 : 0.0;
+  cfg.straggler.fail_prob = 0.05;
+  workload::SimJobOptions opts;
+  opts.num_blocks = 240;
+  opts.num_reducers = 10;
+  util::Rng rng(17);
+  const auto jobs =
+      workload::make_multi_job_workload(3, 30.0, opts, cfg.topology, rng);
+  const auto failure = storage::single_node_failure(cfg.topology, rng);
+
+  struct Outcome {
+    std::string trace;
+    std::string net;
+    std::uint64_t losers_cancelled = 0;
+    std::uint64_t transient_failures = 0;
+    std::uint64_t reference_passes = 0;
+  };
+  const auto run = [&](bool check) {
+    const auto scheduler = core::make_scheduler("EDF");
+    mapreduce::MapReduceSimulation sim(cfg, jobs, failure, *scheduler, 5);
+    sim.network().set_fair_share_cross_check(check);
+    const RunResult r = sim.run();
+    Outcome out;
+    std::ostringstream os;
+    mapreduce::write_attempt_csv(os, r);
+    mapreduce::write_job_csv(os, r);
+    out.trace = os.str();
+    out.net = net_fingerprint(sim.network().stats());
+    out.losers_cancelled = r.hedge.losers_cancelled;
+    out.transient_failures = r.hedge.transient_failures;
+    out.reference_passes = sim.network().fair_share_full_recomputes();
+    return out;
+  };
+  const Outcome checked = run(true);
+  const Outcome plain = run(false);
+  EXPECT_GT(checked.reference_passes, 0u);
+  EXPECT_EQ(plain.reference_passes, 0u);
+  EXPECT_GT(checked.losers_cancelled, 0u);
+  EXPECT_GT(checked.transient_failures, 0u);
+  EXPECT_EQ(checked.trace, plain.trace);
+  EXPECT_EQ(checked.net, plain.net);
+}
+
+INSTANTIATE_TEST_SUITE_P(Integration, HedgedCrossCheck, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Jittered" : "Synchronous";
+                         });
+
+TEST(Integration, FairShareCrossCheckHoldsOnFaultyClusterRun) {
+  cluster::ClusterOptions opts;
+  opts.horizon = 1800.0;
+  opts.warmup = 300.0;
+  opts.lifecycle.node_mttf_hours = 1.0;
+  opts.config.fault.compute_failures = true;
+  opts.config.fault.attempt_failure_prob = 0.02;
+  opts.config.fault.max_attempts = 6;
+
+  const auto run = [&](bool check, std::uint64_t& reference_passes) {
+    const auto scheduler = core::make_scheduler("BDF");
+    cluster::ClusterSimulation sim(opts, *scheduler, 5);
+    sim.network().set_fair_share_cross_check(check);
+    const cluster::ClusterResult result = sim.run();
+    EXPECT_GT(result.summary.failures_injected, 0);
+    EXPECT_EQ(result.summary.jobs_submitted, result.summary.jobs_completed);
+    std::ostringstream os;
+    cluster::write_cluster_jsonl(os, result);
+    mapreduce::write_attempt_csv(os, result.run);
+    reference_passes = sim.network().fair_share_full_recomputes();
+    return os.str() + net_fingerprint(sim.network().stats());
+  };
+  std::uint64_t checked_passes = 0, plain_passes = 0;
+  const std::string checked = run(true, checked_passes);
+  const std::string plain = run(false, plain_passes);
+  EXPECT_GT(checked_passes, 0u);
+  EXPECT_EQ(plain_passes, 0u);
+  EXPECT_EQ(checked, plain);
 }
 
 }  // namespace

@@ -604,6 +604,54 @@ TEST(Network, CancelAfterDeliveryFromLaterBatchReturnsFalse) {
   EXPECT_EQ(net.flows_cancelled(), 0u);
 }
 
+// --- handles: stale and uncontended flows -------------------------------------
+
+TEST(Network, StaleHandleOfRecycledFlowCannotCancelItsSuccessor) {
+  // A completed flow frees its slab slot and the next transfer takes it
+  // over. The old handle names the same slot with an older generation, so
+  // cancel() must refuse it and leave the new occupant running.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  net.set_fair_share_cross_check(true);
+  const FlowId old_id = net.transfer(0, 2, 1000.0, [] {});
+  f.sim.run();
+  bool done = false;
+  const FlowId new_id = net.transfer(0, 2, 1000.0, [&] { done = true; });
+  ASSERT_NE(new_id, 0u);
+  ASSERT_NE(new_id, old_id);
+  ASSERT_EQ(new_id >> 32, old_id >> 32);  // the slot really was reused
+  EXPECT_FALSE(net.cancel(old_id));
+  EXPECT_FALSE(net.cancel(0));                      // "no flow"
+  EXPECT_FALSE(net.cancel(FlowId{7} << 32 | 1));  // slot never allocated
+  EXPECT_EQ(net.active_flow_count(), 1);
+  f.sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_NEAR(f.sim.now(), 20.0, 1e-6);
+  EXPECT_EQ(net.flows_completed(), 2u);
+  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_FALSE(net.cancel(new_id));
+}
+
+TEST(Network, CancelOfUncontendedFlowRefusesAndItStillCompletes) {
+  // Same-node and zero-byte transfers take no link share and complete on
+  // the next dispatch whatever happens; cancel() reports them as not
+  // cancellable instead of dropping the callback.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  int done = 0;
+  const FlowId local = net.transfer(1, 1, 12345.0, [&] { ++done; });
+  const FlowId empty = net.transfer(0, 2, 0.0, [&] { ++done; });
+  EXPECT_NE(local, 0u);
+  EXPECT_NE(empty, 0u);
+  EXPECT_FALSE(net.cancel(local));
+  EXPECT_FALSE(net.cancel(empty));
+  f.sim.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(net.flows_completed(), 2u);
+  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_FALSE(net.cancel(local));
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModels, ContentionParamTest,
                          ::testing::Values(ContentionModel::kMaxMinFairShare,
                                            ContentionModel::kExclusiveFifo),
