@@ -3,7 +3,6 @@
 // Shared helpers for the figure-reproduction harnesses.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -19,33 +18,39 @@
 
 namespace dfs::bench {
 
+/// Resolves a positive-integer bench flag: "--<name> N" on the command line,
+/// else the environment variable `env`, else `def`. Exits with a usage error
+/// on 0 / negative / non-numeric input (runner::parse_jobs's strict rule),
+/// matching the tools.
+inline int positive_flag(int argc, char** argv, const char* name,
+                         const char* env, int def) {
+  const std::string flag = std::string("--") + name;
+  std::string source = flag;
+  const char* text = nullptr;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (flag == argv[i]) text = argv[i + 1];
+  }
+  if (text == nullptr && (text = std::getenv(env)) != nullptr) source = env;
+  if (text == nullptr) return def;
+  const auto value = runner::parse_jobs(text);
+  if (!value) {
+    std::cerr << "bench: " << source << " must be a positive integer\n";
+    std::exit(2);
+  }
+  return *value;
+}
+
 /// Parses "--seeds N" (defaulting to `def`, the paper uses 30 samples per
 /// boxplot) so CI and quick local runs can shrink the sweep.
 inline int seeds_from_args(int argc, char** argv, int def = 30) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0) return std::atoi(argv[i + 1]);
-  }
-  const char* env = std::getenv("DFS_BENCH_SEEDS");
-  if (env != nullptr) return std::atoi(env);
-  return def;
+  return positive_flag(argc, argv, "seeds", "DFS_BENCH_SEEDS", def);
 }
 
 /// Parses "--jobs N" for the sweep harnesses (default: every hardware
-/// thread; DFS_BENCH_JOBS honored like DFS_BENCH_SEEDS). Exits with a usage
-/// error on 0 / negative / non-numeric input, matching the tools.
+/// thread; DFS_BENCH_JOBS honored like DFS_BENCH_SEEDS).
 inline int jobs_from_args(int argc, char** argv) {
-  const char* text = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) text = argv[i + 1];
-  }
-  if (text == nullptr) text = std::getenv("DFS_BENCH_JOBS");
-  if (text == nullptr) return runner::default_jobs();
-  const auto jobs = runner::parse_jobs(text);
-  if (!jobs) {
-    std::cerr << "bench: " << runner::jobs_error() << "\n";
-    std::exit(2);
-  }
-  return *jobs;
+  return positive_flag(argc, argv, "jobs", "DFS_BENCH_JOBS",
+                       runner::default_jobs());
 }
 
 /// Process-wide sweep pool, sized by the first call (pass the value from

@@ -87,15 +87,11 @@ void LifecycleDriver::trigger_failure(std::vector<net::NodeId> nodes,
     clocks_[static_cast<std::size_t>(n)] = sim::EventId{};
     failure_.fail(n);
     master_.on_node_failed(n);
-    if (options_.compute_failures) {
-      master_.on_compute_failed(n);
-      // Other events' in-flight repairs may be reading from or rebuilding
-      // onto the newly-dead node.
-      for (const auto& prior : events_) {
-        if (prior->repair && !prior->repair->done()) {
-          prior->repair->on_node_failed(n);
-        }
-      }
+    if (options_.compute_failures) master_.on_compute_failed(n);
+    // Other events' in-flight repairs may be reading from or rebuilding
+    // onto the newly-dead node.
+    for (const auto& prior : events_) {
+      if (!prior->repair->done()) prior->repair->on_node_failed(n);
     }
     const auto blocks = archive_layout_.blocks_on_node(n);
     lost_blocks.insert(lost_blocks.end(), blocks.begin(), blocks.end());
@@ -160,18 +156,14 @@ int LifecycleDriver::failed_node_count() const {
   return count;
 }
 
-int LifecycleDriver::blocks_repaired() const {
-  int total = 0;
+mapreduce::RepairProcess::Stats LifecycleDriver::repair_totals() const {
+  mapreduce::RepairProcess::Stats total;
   for (const auto& active : events_) {
-    total += active->repair->stats().blocks_repaired;
-  }
-  return total;
-}
-
-int LifecycleDriver::blocks_unrecoverable() const {
-  int total = 0;
-  for (const auto& active : events_) {
-    total += active->repair->stats().blocks_unrecoverable;
+    const mapreduce::RepairProcess::Stats s = active->repair->stats();
+    total.blocks_repaired += s.blocks_repaired;
+    total.blocks_unrecoverable += s.blocks_unrecoverable;
+    total.blocks_requeued += s.blocks_requeued;
+    total.replans += s.replans;
   }
   return total;
 }

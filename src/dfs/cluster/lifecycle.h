@@ -41,9 +41,10 @@ struct LifecycleOptions {
   /// running still complete.
   util::Seconds horizon = 2.0 * 3600.0;
   /// Fault layer: a failure also kills the node's TaskTracker (the master
-  /// detects it by heartbeat expiry and reschedules its attempts), and
-  /// failures are forwarded to in-flight repairs so transfers touching the
-  /// dead node are re-planned. Requires ClusterConfig::fault to match.
+  /// detects it by heartbeat expiry and reschedules its attempts). Requires
+  /// ClusterConfig::fault to match. It gates only that compute death: the
+  /// storage death reaches the master's reads and every in-flight repair
+  /// either way.
   bool compute_failures = false;
 };
 
@@ -88,8 +89,8 @@ class LifecycleDriver {
   bool idle() const { return active_failures() == 0; }
 
   int failures_injected() const { return static_cast<int>(events_.size()); }
-  int blocks_repaired() const;
-  int blocks_unrecoverable() const;
+  /// Repair counters summed over every event so far (finish_time unset).
+  mapreduce::RepairProcess::Stats repair_totals() const;
   /// All events, in injection order; restore_time == -1 for unfinished ones.
   std::vector<FailureEvent> events() const;
 

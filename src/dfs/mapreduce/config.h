@@ -23,7 +23,8 @@ struct FaultConfig {
   /// window, kills its in-flight attempts, requeues their tasks, and
   /// re-executes completed maps whose shuffle outputs died with the node.
   /// Off reproduces the paper's oracle model (storage loss only; attempts on
-  /// a failed node are allowed to finish).
+  /// a failed node are allowed to finish, while reads from its storage are
+  /// replanned or killed either way).
   bool compute_failures = false;
   /// A slave is declared dead once its last heartbeat is older than
   /// expiry_multiplier * heartbeat_interval (Hadoop-style expiry).

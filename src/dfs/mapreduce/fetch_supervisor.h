@@ -37,8 +37,9 @@ struct ReadOutcome {
 /// The supervisor is self-contained over the simulator, the network, the
 /// failure scenario, and the config's hedge/fetch/straggler knobs. The
 /// master owns one per run and sends every degraded map read through it;
-/// bench/ablation_hedging drives one directly for the MDS-queue validation
-/// leg. Injection draws and replan shuffles come from its own Rng, so
+/// each RepairProcess owns one (every knob at its default) for its block
+/// rebuild reads; bench/ablation_hedging drives one directly for the
+/// MDS-queue validation leg. Injection draws and replan shuffles come from its own Rng, so
 /// owner-side streams are untouched by supervision. With every knob at its
 /// default it draws nothing except for a fallback replan after a source's
 /// node dies, and schedules no events of its own.

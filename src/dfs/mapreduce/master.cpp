@@ -1,9 +1,7 @@
 #include "dfs/mapreduce/master.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
-#include <random>
 #include <stdexcept>
 
 namespace dfs::mapreduce {
@@ -15,16 +13,9 @@ namespace {
 /// With every knob off it only ever draws for a fallback replan after a
 /// source dies, and the master's stream must not move: heartbeat phases and
 /// every job's Rng come from it, so a fork here would shift every run's
-/// trace. The seed is therefore read from a copy of the master's engine and
-/// remixed (splitmix64 finalizer) so it does not repeat the next job's fork
-/// seed.
+/// trace; the supervisor takes a peek_fork that leaves it in place.
 util::Rng supervisor_rng(const ClusterConfig& config, util::Rng& master) {
-  if (config.fetch_supervised()) return master.fork();
-  std::mt19937_64 peek = master.engine();
-  std::uint64_t z = peek() + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return util::Rng(z ^ (z >> 31));
+  return config.fetch_supervised() ? master.fork() : master.peek_fork();
 }
 
 }  // namespace
@@ -145,10 +136,11 @@ void Master::on_node_failed(NodeId node) {
   for (const core::JobId id : state_.active_jobs) {
     map_.reclassify_after_failure(state_.job(id), node);
   }
-  // Degraded reads fall back to other sources inside the fetch supervisor;
-  // the fault layer kills the plain input fetches the dead node served.
+  // A storage death reaches every in-flight read, fault layer or not:
+  // degraded reads fall back to other sources inside the fetch supervisor,
+  // and the plain input fetches the dead node served are killed.
   state_.fetch.on_node_failed(node);
-  if (state_.cfg.fault.compute_failures) fault_.kill_fetches_from(node);
+  fault_.kill_fetches_from(node);
 }
 
 void Master::on_compute_failed(NodeId node) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 namespace dfs::mapreduce {
@@ -19,10 +18,17 @@ RepairProcess::RepairProcess(sim::Simulator& simulator, net::Network& network,
       planner_(layout, network.topology(), code, options.selection),
       options_(options),
       rng_(rng),
-      block_size_(options.block_size) {
+      fetch_(simulator, network, failure, fetch_cfg_, rng.peek_fork()) {
   if (options_.concurrency < 1) {
     throw std::invalid_argument("repair concurrency must be >= 1");
   }
+  fetch_cfg_.block_size = options_.block_size;
+}
+
+RepairProcess::Stats RepairProcess::stats() const {
+  Stats s = stats_;
+  s.replans = static_cast<int>(fetch_.stats().fallback_replans);
+  return s;
 }
 
 void RepairProcess::start() {
@@ -51,7 +57,7 @@ void RepairProcess::start(std::vector<storage::BlockId> blocks) {
 
 void RepairProcess::launch_next() {
   if (pending_.empty()) {
-    if (in_flight_ == 0 && stats_.finish_time < 0.0) {
+    if (rebuilds_.empty() && stats_.finish_time < 0.0) {
       stats_.finish_time = sim_.now();
       if (on_complete) on_complete();
     }
@@ -70,96 +76,45 @@ void RepairProcess::repair_block(storage::BlockId block) {
     target = rng_.uniform_int(0, net_.topology().num_nodes() - 1);
   } while (failure_.is_failed(target));
 
-  const auto sources = planner_.plan(block, target, failure_, rng_);
-  if (!sources) {
+  // With no extras, plan_hedged makes exactly plan()'s draws on rng_.
+  auto plan = planner_.plan_hedged(block, target, failure_, rng_, 0);
+  if (!plan) {
     ++stats_.blocks_unrecoverable;
     // Move on so one dead stripe cannot wedge the whole repair queue.
     sim_.schedule_in(0.0, [this] { launch_next(); });
     return;
   }
-  ++in_flight_;
-  const int rid = next_repair_id_++;
-  InFlightRepair rep;
-  rep.block = block;
-  rep.target = target;
-  rep.sources = std::move(*sources);
-  rep.remaining = static_cast<int>(rep.sources.size());
-  active_repairs_.emplace(rid, std::move(rep));
-  start_repair_transfers(rid);
-}
-
-void RepairProcess::start_repair_transfers(int rid) {
-  InFlightRepair& rep = active_repairs_.at(rid);
-  // All k fetches start at one timestamp, so the fair-share engine folds
-  // them into a single batched rate recompute rather than k successive ones.
-  for (const auto& src : rep.sources) {
-    const net::FlowId flow = net_.transfer(
-        src.node, rep.target, block_size_ * src.fraction, [this, rid] {
-          const auto it = active_repairs_.find(rid);
-          // The repair was abandoned or re-planned under a new id while
-          // this (uncancellable zero-time) transfer was in flight.
-          if (it == active_repairs_.end()) return;
-          if (--it->second.remaining > 0) return;
-          active_repairs_.erase(it);
-          ++stats_.blocks_repaired;
-          --in_flight_;
-          launch_next();
-        });
-    rep.flows.push_back(flow);
-  }
+  const int id = next_rebuild_id_++;
+  Rebuild& rebuild = rebuilds_[id];
+  rebuild.block = block;
+  rebuild.target = target;
+  rebuild.read = fetch_.start_read(
+      planner_, std::move(*plan), target, [this, id](ReadOutcome out) {
+        rebuilds_.erase(id);
+        // Nothing reads the per-fetch records, and the process lives as
+        // long as the run: drop them as each rebuild finishes.
+        fetch_.take_fetch_records();
+        ++(out.ok ? stats_.blocks_repaired : stats_.blocks_unrecoverable);
+        launch_next();
+      });
 }
 
 void RepairProcess::on_node_failed(net::NodeId node) {
-  // Sorted id sweep for deterministic processing order.
-  std::vector<int> ids;
-  ids.reserve(active_repairs_.size());
-  for (const auto& [rid, rep] : active_repairs_) ids.push_back(rid);
-  std::sort(ids.begin(), ids.end());
-  for (const int rid : ids) {
-    const auto it = active_repairs_.find(rid);
-    if (it == active_repairs_.end()) continue;
-    InFlightRepair& rep = it->second;
-    if (rep.target == node) {
-      // The rebuild destination died: abandon and requeue the block onto a
-      // fresh target.
-      for (const net::FlowId f : rep.flows) net_.cancel(f);
-      const storage::BlockId block = rep.block;
-      active_repairs_.erase(it);
-      --in_flight_;
-      ++stats_.blocks_requeued;
-      pending_.push_back(block);
-      launch_next();
+  // Rebuilds onto the dead node first, in start order: requeue each block
+  // for a fresh target. Replacements start on live targets, after `it`.
+  for (auto it = rebuilds_.begin(); it != rebuilds_.end();) {
+    if (it->second.target != node) {
+      ++it;
       continue;
     }
-    if (std::none_of(rep.sources.begin(), rep.sources.end(),
-                     [node](const storage::DegradedSource& s) {
-                       return s.node == node;
-                     })) {
-      continue;
-    }
-    // A read source died: re-plan from the surviving stripe blocks. The old
-    // id is retired so stale transfer callbacks cannot touch the new plan.
-    for (const net::FlowId f : rep.flows) net_.cancel(f);
-    const storage::BlockId block = rep.block;
-    const net::NodeId target = rep.target;
-    active_repairs_.erase(it);
-    const auto sources = planner_.plan(block, target, failure_, rng_);
-    if (!sources) {
-      ++stats_.blocks_unrecoverable;
-      --in_flight_;
-      launch_next();
-      continue;
-    }
-    ++stats_.replans;
-    const int new_rid = next_repair_id_++;
-    InFlightRepair fresh;
-    fresh.block = block;
-    fresh.target = target;
-    fresh.sources = std::move(*sources);
-    fresh.remaining = static_cast<int>(fresh.sources.size());
-    active_repairs_.emplace(new_rid, std::move(fresh));
-    start_repair_transfers(new_rid);
+    fetch_.cancel_read(it->second.read);
+    pending_.push_back(it->second.block);
+    it = rebuilds_.erase(it);
+    ++stats_.blocks_requeued;
+    launch_next();
   }
+  // Reads from the dead node fall back to the surviving stripe blocks.
+  fetch_.on_node_failed(node);
 }
 
 }  // namespace dfs::mapreduce

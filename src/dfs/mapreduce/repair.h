@@ -2,9 +2,10 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
+#include "dfs/mapreduce/fetch_supervisor.h"
 #include "dfs/net/network.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/storage/degraded.h"
@@ -21,6 +22,13 @@ namespace dfs::mapreduce {
 /// and share the same flow-level network as the job's traffic, so this
 /// models the paper's real-world follow-on question: does degraded-first
 /// scheduling still help while recovery traffic is in flight?
+///
+/// The process owns the queue, the choice of rebuild target and the
+/// concurrency; each block's read runs through a FetchSupervisor it owns,
+/// the same supervised path degraded map reads take. Its supervisor keeps
+/// every hedge/fetch/straggler knob at its default, so repair reads are
+/// plain fetches, and it is seeded with a peek_fork so the target and plan
+/// draws on the repair's own Rng stay put.
 class RepairProcess {
  public:
   struct Options {
@@ -34,7 +42,7 @@ class RepairProcess {
     int blocks_repaired = 0;
     int blocks_unrecoverable = 0;
     int blocks_requeued = 0;  ///< repair target died mid-rebuild; retried
-    int replans = 0;          ///< repair source died mid-read; re-planned
+    int replans = 0;  ///< the supervisor's fallback replans (source died)
     util::Seconds finish_time = -1.0;  ///< when the last repair completed
   };
 
@@ -43,6 +51,9 @@ class RepairProcess {
                 const ec::ErasureCode& code,
                 const storage::FailureScenario& failure, Options options,
                 util::Rng rng);
+  // Callbacks hold `this`, and the supervisor holds fetch_cfg_.
+  RepairProcess(const RepairProcess&) = delete;
+  RepairProcess& operator=(const RepairProcess&) = delete;
 
   /// Queues every lost block and schedules the first repairs. Call before
   /// Simulator::run().
@@ -55,39 +66,35 @@ class RepairProcess {
   /// immediately if that time has passed).
   void start(std::vector<storage::BlockId> blocks);
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
   bool done() const {
-    return started_ && pending_.empty() && in_flight_ == 0;
+    return started_ && pending_.empty() && rebuilds_.empty();
   }
   /// Blocks queued or being rebuilt right now (the repair backlog).
-  int backlog() const { return static_cast<int>(pending_.size()) + in_flight_; }
+  int backlog() const {
+    return static_cast<int>(pending_.size() + rebuilds_.size());
+  }
 
   /// Invoked when the last block has been rebuilt.
   std::function<void()> on_complete;
 
-  /// Fault layer: `node` just failed. In-flight repairs rebuilding ONTO it
-  /// are abandoned and their blocks requeued; repairs reading FROM it are
-  /// re-planned from the surviving stripe blocks (or counted unrecoverable
-  /// when no plan survives).
+  /// `node`'s storage just failed. Rebuilds ONTO it are abandoned and their
+  /// blocks requeued; reads FROM it fall back to other stripe blocks inside
+  /// the supervisor (or count the block unrecoverable when none is left).
   void on_node_failed(net::NodeId node);
 
  private:
-  /// One block rebuild in flight: enough to cancel and retry it when either
-  /// endpoint dies. Keyed by a private id so a stale transfer callback of a
-  /// superseded plan cannot touch the replanned attempt.
-  struct InFlightRepair {
+  /// One block rebuild in flight. rebuilds_ keys it by a private id, in
+  /// start order: the done callback needs the key before start_read returns
+  /// the ReadId.
+  struct Rebuild {
     storage::BlockId block{};
     net::NodeId target = net::kInvalidNode;
-    /// The plan's sources, with per-source fetch fractions: sub-shard codes
-    /// rebuild a whole block while reading only partial survivors.
-    std::vector<storage::DegradedSource> sources;
-    std::vector<net::FlowId> flows;
-    int remaining = 0;
+    ReadId read = 0;
   };
 
   void launch_next();
   void repair_block(storage::BlockId block);
-  void start_repair_transfers(int rid);
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -96,12 +103,12 @@ class RepairProcess {
   storage::DegradedReadPlanner planner_;
   Options options_;
   util::Rng rng_;
-  util::Bytes block_size_;
+  ClusterConfig fetch_cfg_;  ///< block_size only; every knob at its default
+  FetchSupervisor fetch_;
 
   std::deque<storage::BlockId> pending_;
-  std::unordered_map<int, InFlightRepair> active_repairs_;
-  int next_repair_id_ = 0;
-  int in_flight_ = 0;
+  std::map<int, Rebuild> rebuilds_;
+  int next_rebuild_id_ = 0;
   bool started_ = false;
   Stats stats_;
 };

@@ -100,6 +100,17 @@ class Rng {
   /// consumer does not perturb the draws seen by the others.
   Rng fork() { return Rng(engine_()); }
 
+  /// A child generator that leaves this one's stream where it is: the seed
+  /// is the draw fork() would take next, read from a copy of the engine and
+  /// remixed (splitmix64 finalizer) so it does not repeat that fork's seed.
+  Rng peek_fork() const {
+    std::mt19937_64 peek = engine_;
+    std::uint64_t z = peek() + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return Rng(z ^ (z >> 31));
+  }
+
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -79,13 +79,71 @@ TEST(Cluster, MidRunFailureReclassifiesPendingTasksAsDegraded) {
   // The failed node stops receiving work; tasks assigned to it earlier are
   // allowed to finish (the failure takes its storage, not its progress).
   for (const auto& t : r.map_tasks) {
-    if (t.assign_time > fail_at) EXPECT_NE(t.exec_node, 3) << t.id;
+    if (t.assign_time > fail_at) {
+      EXPECT_NE(t.exec_node, 3) << t.id;
+    }
   }
   for (const auto& t : r.map_tasks) {
     if (t.kind == MapTaskKind::kDegraded) {
       for (const auto& src : t.sources) EXPECT_NE(src.node, 3);
     }
   }
+}
+
+TEST(Cluster, StorageDeathKillsInputFetchesWithoutFaultLayer) {
+  // Probe run, no failure: pick a remote task whose input fetch takes time
+  // (rack-local fetches cross no limited link and land instantly).
+  mapreduce::MapTaskRecord victim;
+  {
+    OnlineHarness probe;
+    probe.master->submit(probe.job);
+    probe.master->start();
+    probe.sim.run();
+    const auto r = probe.master->take_result();
+    const auto it = std::find_if(
+        r.map_tasks.begin(), r.map_tasks.end(), [](const auto& t) {
+          return t.kind == MapTaskKind::kRemote &&
+                 t.fetch_done_time > t.assign_time;
+        });
+    ASSERT_NE(it, r.map_tasks.end());
+    victim = *it;
+  }
+  // Replay, identical up to the moment the fetch's source node dies halfway
+  // through it. The fault layer is off: only the storage dies.
+  OnlineHarness h;
+  const util::Seconds fail_at =
+      (victim.assign_time + victim.fetch_done_time) / 2.0;
+  const net::NodeId dead = victim.source_node;
+  h.master->submit(h.job);
+  h.sim.schedule_at(fail_at, [&h, dead] {
+    h.failure.fail(dead);
+    h.master->on_node_failed(dead);
+  });
+  h.master->start();
+  h.sim.run();
+  ASSERT_TRUE(h.master->all_jobs_done());
+  const auto r = h.master->take_result();
+  EXPECT_FALSE(r.data_loss);
+
+  // The attempt was killed the moment its source died, and its task was
+  // requeued and won by a later attempt.
+  int killed = 0;
+  int reruns = 0;
+  for (const auto& t : r.map_tasks) {
+    if (t.map_index != victim.map_index) continue;
+    if (t.outcome == mapreduce::AttemptOutcome::kKilled) {
+      ++killed;
+      EXPECT_EQ(t.source_node, dead);
+      EXPECT_EQ(t.exec_node, victim.exec_node);
+      EXPECT_DOUBLE_EQ(t.finish_time, fail_at);
+    } else if (t.winner) {
+      ++reruns;
+      EXPECT_GT(t.attempt, 0);
+      EXPECT_GE(t.assign_time, fail_at);
+    }
+  }
+  EXPECT_EQ(killed, 1);
+  EXPECT_EQ(reruns, 1);
 }
 
 // --- repair completion restores locality --------------------------------------
@@ -243,6 +301,39 @@ TEST(Cluster, DegradedFirstTailLatencyNoWorseThanLocalityFirst) {
   EXPECT_GT(lf_p99, 0.0);
   EXPECT_GT(df_p99, 0.0);
   EXPECT_LE(df_p99, lf_p99);
+}
+
+/// cluster_base's golden-corpus configuration: dfscluster --blocks 60
+/// --reducers 4 --interarrival 90 --mttf-hours 1 --hours 0.3 --warmup 60,
+/// compute failures off.
+ClusterOptions cluster_base_options() {
+  ClusterOptions opts;
+  opts.horizon = 0.3 * 3600.0;
+  opts.warmup = 60.0;
+  opts.arrivals.job.num_blocks = 60;
+  opts.arrivals.job.num_reducers = 4;
+  opts.arrivals.mean_interarrival = 90.0;
+  opts.lifecycle.node_mttf_hours = 1.0;
+  return opts;
+}
+
+TEST(Cluster, StorageDeathReachesInFlightRepairsWithoutFaultLayer) {
+  // A node that dies while other events' repairs read from it or rebuild
+  // onto it reaches those repairs with compute failures off too: their
+  // reads replan around it and rebuilds onto it restart on a live target.
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const auto scheduler = core::make_scheduler("BDF");
+    ClusterSimulation simulation(cluster_base_options(), *scheduler, seed);
+    const ClusterResult result = simulation.run();
+    const auto totals = simulation.lifecycle().repair_totals();
+    EXPECT_GT(totals.replans, 0) << "seed " << seed;
+    EXPECT_GT(totals.blocks_requeued, 0) << "seed " << seed;
+    EXPECT_EQ(totals.blocks_unrecoverable, 0) << "seed " << seed;
+    EXPECT_EQ(totals.blocks_repaired, result.summary.blocks_repaired)
+        << "seed " << seed;
+    EXPECT_TRUE(simulation.failure().failed_nodes().empty())
+        << "seed " << seed;
+  }
 }
 
 // --- hedged reads racing repair -------------------------------------------------

@@ -97,8 +97,12 @@ TEST(FaultTolerance, SlaveDeathIsDetectedByHeartbeatExpiryAndJobCompletes) {
   // and their tasks re-executed elsewhere, so the job still finished.
   EXPECT_GT(r.count_map_attempts(AttemptOutcome::kKilled), 0);
   for (const auto& t : r.map_tasks) {
-    if (t.outcome == AttemptOutcome::kKilled) EXPECT_EQ(t.exec_node, 3);
-    if (t.assign_time > fail_at) EXPECT_NE(t.exec_node, 3) << t.id;
+    if (t.outcome == AttemptOutcome::kKilled) {
+      EXPECT_EQ(t.exec_node, 3);
+    }
+    if (t.assign_time > fail_at) {
+      EXPECT_NE(t.exec_node, 3) << t.id;
+    }
   }
 
   // Death is noticed only when the heartbeat goes stale: the detection

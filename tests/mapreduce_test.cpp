@@ -978,6 +978,126 @@ TEST(Repair, UnrecoverableBlocksCounted) {
   EXPECT_TRUE(repair.done());
 }
 
+/// The first rebuild of a concurrency-1 RepairProcess whose Rng is seeded
+/// with `seed`: the process draws the target, then plans the sources, on
+/// that stream.
+struct FirstRebuild {
+  NodeId target = -1;
+  std::vector<storage::DegradedSource> sources;
+};
+
+FirstRebuild first_rebuild(const SmallCluster& sc,
+                           const storage::FailureScenario& failure,
+                           storage::BlockId block, std::uint64_t seed) {
+  util::Rng rng(seed);
+  FirstRebuild out;
+  do {
+    out.target = rng.uniform_int(0, sc.cfg.topology.num_nodes() - 1);
+  } while (failure.is_failed(out.target));
+  const storage::DegradedReadPlanner planner(
+      *sc.job.layout, sc.cfg.topology, *sc.job.code,
+      storage::SourceSelection::kRandom);
+  out.sources = *planner.plan(block, out.target, failure, rng);
+  return out;
+}
+
+/// A source of `first` across a rack link, so its fetch is still in flight
+/// half a second in (a same-rack fetch crosses no limited link).
+NodeId remote_source(const SmallCluster& sc, const FirstRebuild& first) {
+  const net::Topology& topo = sc.cfg.topology;
+  for (const storage::DegradedSource& src : first.sources) {
+    if (topo.rack_of(src.node) != topo.rack_of(first.target)) return src.node;
+  }
+  return -1;
+}
+
+TEST(Repair, TargetDeathRequeuesTheBlock) {
+  SmallCluster sc;
+  core::LocalityFirstScheduler lf;
+  storage::FailureScenario failure({4});
+  const auto lost = sc.job.layout->blocks_on_node(4);
+  const FirstRebuild first = first_rebuild(sc, failure, lost.front(), 9);
+  mapreduce::MapReduceSimulation sim(sc.cfg, {sc.job}, failure, lf, 45);
+  mapreduce::RepairProcess::Options opts;
+  opts.block_size = sc.cfg.block_size;
+  mapreduce::RepairProcess repair(sim.simulator(), sim.network(),
+                                  *sc.job.layout, *sc.job.code, failure, opts,
+                                  util::Rng(9));
+  ASSERT_NE(remote_source(sc, first), -1);  // still reading at t=0.5
+  sim.simulator().schedule_at(0.5, [&] {
+    EXPECT_EQ(repair.stats().blocks_repaired, 0);
+    failure.fail(first.target);
+    repair.on_node_failed(first.target);
+  });
+  repair.start();
+  sim.run();
+  EXPECT_TRUE(repair.done());
+  EXPECT_EQ(repair.stats().blocks_requeued, 1);
+  EXPECT_EQ(repair.stats().blocks_repaired, static_cast<int>(lost.size()));
+  EXPECT_EQ(repair.stats().blocks_unrecoverable, 0);
+}
+
+TEST(Repair, SourceDeathReplansTheRead) {
+  SmallCluster sc;
+  core::LocalityFirstScheduler lf;
+  storage::FailureScenario failure({4});
+  const auto lost = sc.job.layout->blocks_on_node(4);
+  const FirstRebuild first = first_rebuild(sc, failure, lost.front(), 10);
+  const NodeId source = remote_source(sc, first);
+  ASSERT_NE(source, -1);
+  mapreduce::MapReduceSimulation sim(sc.cfg, {sc.job}, failure, lf, 46);
+  mapreduce::RepairProcess::Options opts;
+  opts.block_size = sc.cfg.block_size;
+  mapreduce::RepairProcess repair(sim.simulator(), sim.network(),
+                                  *sc.job.layout, *sc.job.code, failure, opts,
+                                  util::Rng(10));
+  sim.simulator().schedule_at(0.5, [&] {
+    EXPECT_EQ(repair.stats().blocks_repaired, 0);
+    failure.fail(source);
+    repair.on_node_failed(source);
+  });
+  repair.start();
+  sim.run();
+  EXPECT_TRUE(repair.done());
+  EXPECT_GT(repair.stats().replans, 0);
+  EXPECT_EQ(repair.stats().blocks_requeued, 0);
+  EXPECT_EQ(repair.stats().blocks_repaired, static_cast<int>(lost.size()));
+  EXPECT_EQ(repair.stats().blocks_unrecoverable, 0);
+}
+
+TEST(Repair, SourceDeathBelowKSurvivorsIsUnrecoverable) {
+  SmallCluster sc;
+  core::LocalityFirstScheduler lf;
+  // Two blocks of stripe 0 are gone: rebuilding one reads all k survivors,
+  // so losing any of them mid-read leaves too few.
+  const storage::BlockId block{0, 0};
+  const NodeId holder = sc.job.layout->node_of(block);
+  storage::FailureScenario failure(
+      {holder, sc.job.layout->node_of(storage::BlockId{0, 1})});
+  const FirstRebuild first = first_rebuild(sc, failure, block, 11);
+  ASSERT_EQ(static_cast<int>(first.sources.size()), sc.job.code->k());
+  const NodeId source = remote_source(sc, first);
+  ASSERT_NE(source, -1);
+  mapreduce::MapReduceSimulation sim(sc.cfg, {sc.job}, failure, lf, 47);
+  mapreduce::RepairProcess::Options opts;
+  opts.block_size = sc.cfg.block_size;
+  mapreduce::RepairProcess repair(sim.simulator(), sim.network(),
+                                  *sc.job.layout, *sc.job.code, failure, opts,
+                                  util::Rng(11));
+  bool completed = false;
+  repair.on_complete = [&] { completed = true; };
+  sim.simulator().schedule_at(0.5, [&] {
+    failure.fail(source);
+    repair.on_node_failed(source);
+  });
+  repair.start({block});
+  sim.run();
+  EXPECT_TRUE(repair.done());
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(repair.stats().blocks_unrecoverable, 1);
+  EXPECT_EQ(repair.stats().blocks_repaired, 0);
+}
+
 // --- trace export ---------------------------------------------------------------------
 
 TEST(Trace, CsvRowCountsMatchRecords) {
