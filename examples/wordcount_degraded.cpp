@@ -8,6 +8,8 @@
 // The example verifies that the final word counts are bit-identical to a
 // failure-free reference run: erasure coding makes the node failure
 // invisible to the job's output, scheduling only changes when things happen.
+// It exits 1 when a run's totals differ from the reference or a rebuilt
+// block differs from the original, so ctest runs it as a test.
 
 #include <iostream>
 
@@ -69,10 +71,13 @@ int main() {
   auto edf = core::DegradedFirstScheduler::enhanced();
   util::Table table({"scheduler", "runtime (s)", "degraded rebuilds",
                      "bytes verified", "output == reference"});
+  bool all_exact = true;
   for (core::Scheduler* sched : {static_cast<core::Scheduler*>(&lf),
                                  static_cast<core::Scheduler*>(&edf)}) {
     const auto result = engine::run_functional_job(
         cluster, job, store, *word_count, failure, *sched, /*seed=*/3);
+    all_exact = all_exact && result.reconstruction_verified &&
+                result.totals == expected;
     table.add_row(
         {sched->name(),
          util::Table::num(result.timing.jobs.front().runtime(), 1),
@@ -86,6 +91,8 @@ int main() {
   std::cout << "\nTop words (from the degraded-mode run):\n";
   const auto result = engine::run_functional_job(cluster, job, store,
                                                  *word_count, failure, edf, 3);
+  all_exact = all_exact && result.reconstruction_verified &&
+              result.totals == expected;
   std::vector<std::pair<long, std::string>> ranked;
   for (const auto& [word, count] : result.totals) {
     ranked.emplace_back(count, word);
@@ -93,6 +100,11 @@ int main() {
   std::sort(ranked.rbegin(), ranked.rend());
   for (std::size_t i = 0; i < 10 && i < ranked.size(); ++i) {
     std::cout << "  " << ranked[i].second << ": " << ranked[i].first << '\n';
+  }
+  if (!all_exact) {
+    std::cerr << "FAILED: a run's output or a rebuilt block differs from "
+                 "the reference\n";
+    return 1;
   }
   return 0;
 }

@@ -22,8 +22,10 @@ class TextJob {
   virtual KeyCounts map(std::string_view text) const = 0;
 };
 
-/// WordCount: emits every whitespace-separated word with count 1 (combined
-/// per block, as a Hadoop combiner would).
+/// WordCount: emits every word with count 1 (combined per block, as a Hadoop
+/// combiner would). A word is a maximal run of bytes other than the five
+/// delimiters space, '\n', '\t', '\r' and '\0'; every other byte, '\v',
+/// '\f' and bytes >= 0x80 included, belongs to a word.
 std::unique_ptr<TextJob> make_word_count();
 
 /// Grep: emits every line containing `pattern` (key = the line).

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "dfs/core/degraded_first.h"
 #include "dfs/core/locality_first.h"
@@ -70,6 +75,245 @@ TEST(TextJobs, MergeCountsSums) {
   EXPECT_EQ(a.at("x"), 1);
   EXPECT_EQ(a.at("y"), 5);
   EXPECT_EQ(a.at("z"), 4);
+}
+
+TEST(TextJobs, WordCountOfGeneratedTextIsPinned) {
+  // Recorded from the per-token std::map implementation, so a wrong map
+  // kernel cannot pass by agreeing with itself (reference_run calls the
+  // same map()).
+  util::Rng rng(20240601);
+  const std::string text = workload::generate_text(rng, 1 << 20);
+  const KeyCounts c = make_word_count()->map(text);
+  long total = 0;
+  std::vector<std::pair<long, std::string>> ranked;
+  for (const auto& [word, count] : c) {
+    total += count;
+    ranked.emplace_back(count, word);
+  }
+  std::sort(ranked.rbegin(), ranked.rend());
+  EXPECT_EQ(total, 263015);
+  EXPECT_EQ(c.size(), 200u);
+  ASSERT_GE(ranked.size(), 3u);
+  EXPECT_EQ(ranked[0], std::make_pair(50048L, std::string("the")));
+  EXPECT_EQ(ranked[1], std::make_pair(24456L, std::string("of")));
+  EXPECT_EQ(ranked[2], std::make_pair(15947L, std::string("and")));
+}
+
+// --- map kernels against the per-token std::map oracles ----------------------
+
+// The per-token std::map implementations the map kernels replaced, copied
+// verbatim: the reference every kernel's output must equal.
+namespace oracle {
+
+bool is_word_char(char c) {
+  return c != ' ' && c != '\n' && c != '\t' && c != '\r' && c != '\0';
+}
+
+/// Calls fn(line) for every '\n'-terminated (or trailing) line.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    fn(text.substr(start, end - start));
+    start = end + 1;
+  }
+}
+
+KeyCounts word_count(std::string_view text) {
+  KeyCounts counts;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !is_word_char(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && is_word_char(text[i])) ++i;
+    if (i > start) {
+      ++counts[std::string(text.substr(start, i - start))];
+    }
+  }
+  return counts;
+}
+
+KeyCounts grep(std::string_view text, const std::string& pattern) {
+  KeyCounts counts;
+  for_each_line(text, [&](std::string_view line) {
+    if (line.find(pattern) != std::string_view::npos) {
+      ++counts[std::string(line)];
+    }
+  });
+  return counts;
+}
+
+KeyCounts line_count(std::string_view text) {
+  KeyCounts counts;
+  for_each_line(text, [&](std::string_view line) {
+    if (!line.empty()) ++counts[std::string(line)];
+  });
+  return counts;
+}
+
+}  // namespace oracle
+
+const std::string kDelimiters(" \n\t\r\0", 5);
+
+/// Runs `job` on a heap copy of `text` exactly text.size() bytes long, so a
+/// sanitizer build reports any read past the end.
+KeyCounts map_exact(const TextJob& job, std::string_view text) {
+  const auto bytes = std::make_unique<char[]>(text.size());
+  std::copy(text.begin(), text.end(), bytes.get());
+  return job.map(std::string_view(bytes.get(), text.size()));
+}
+
+/// Equality that names the first differing entry instead of printing maps
+/// of thousands of keys.
+::testing::AssertionResult same_counts(const KeyCounts& got,
+                                       const KeyCounts& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  const auto [g, w] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  auto failure = ::testing::AssertionFailure()
+                 << got.size() << " keys, oracle has " << want.size();
+  if (g != got.end()) {
+    failure << "; got " << ::testing::PrintToString(g->first) << " = "
+            << g->second;
+  }
+  if (w != want.end()) {
+    failure << "; oracle " << ::testing::PrintToString(w->first) << " = "
+            << w->second;
+  }
+  return failure;
+}
+
+/// Checks WordCount, LineCount and Grep (once per pattern) against the
+/// oracles.
+void expect_matches_oracles(std::string_view text,
+                            const std::vector<std::string>& patterns) {
+  SCOPED_TRACE("text of " + std::to_string(text.size()) + " bytes");
+  EXPECT_TRUE(same_counts(map_exact(*make_word_count(), text),
+                          oracle::word_count(text)));
+  EXPECT_TRUE(same_counts(map_exact(*make_line_count(), text),
+                          oracle::line_count(text)));
+  for (const std::string& pattern : patterns) {
+    EXPECT_TRUE(same_counts(map_exact(*make_grep(pattern), text),
+                            oracle::grep(text, pattern)))
+        << "Grep(" << ::testing::PrintToString(pattern) << ")";
+  }
+}
+
+char random_byte(std::mt19937_64& rng) {
+  return static_cast<char>(std::uniform_int_distribution<int>(0, 255)(rng));
+}
+
+/// A word of `len` bytes drawn from every non-delimiter byte value,
+/// '\v', '\f' and bytes >= 0x80 included.
+std::string random_word(std::mt19937_64& rng, std::size_t len) {
+  std::string word;
+  while (word.size() < len) {
+    const char c = random_byte(rng);
+    if (oracle::is_word_char(c)) word.push_back(c);
+  }
+  return word;
+}
+
+std::string random_delimiters(std::mt19937_64& rng, int max_run) {
+  std::string run(
+      static_cast<std::size_t>(
+          std::uniform_int_distribution<int>(1, max_run)(rng)),
+      ' ');
+  for (char& c : run) {
+    c = kDelimiters[std::uniform_int_distribution<std::size_t>(
+        0, kDelimiters.size() - 1)(rng)];
+  }
+  return run;
+}
+
+TEST(TextJobKernels, EveryByteValueMatchesOracles) {
+  std::string ordered;
+  for (int b = 0; b < 256; ++b) ordered.push_back(static_cast<char>(b));
+  std::mt19937_64 rng(1);
+  std::string shuffled = ordered + ordered;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const std::vector<std::string> patterns = {"", "\xff", "\v\f", "a",
+                                             std::string(1, '\0')};
+  expect_matches_oracles(ordered + ordered, patterns);
+  expect_matches_oracles(shuffled, patterns);
+  // Uniform random bytes: few delimiters, so words run long.
+  for (std::size_t len : {1u, 7u, 9u, 63u, 65u, 127u, 1000u, 4099u}) {
+    std::string text;
+    for (std::size_t i = 0; i < len; ++i) text.push_back(random_byte(rng));
+    expect_matches_oracles(text, patterns);
+  }
+}
+
+TEST(TextJobKernels, EveryPrefixLengthMatchesOracles) {
+  // Words of 1 to 130 bytes, each followed by one of the five delimiters,
+  // cut at every length: most cuts end inside a word (a word on the last
+  // byte) at a length that is not a multiple of 8.
+  std::mt19937_64 rng(2);
+  std::string text;
+  for (std::size_t len = 1; len <= 130; len += 3) {
+    text += random_word(rng, len);
+    text.push_back(kDelimiters[len % kDelimiters.size()]);
+    text += random_word(rng, 1 + len % 9);
+    text.push_back(kDelimiters[(len + 1) % kDelimiters.size()]);
+  }
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view prefix = std::string_view(text).substr(0, cut);
+    expect_matches_oracles(prefix,
+                           {"", std::string(prefix.substr(cut / 2, 2))});
+  }
+}
+
+TEST(TextJobKernels, EmptyAndDelimiterOnlyInputsMatchOracles) {
+  expect_matches_oracles("", {"", "a"});
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 50; ++i) {
+    expect_matches_oracles(random_delimiters(rng, 150), {"", " ", "a"});
+  }
+  EXPECT_TRUE(make_word_count()->map(kDelimiters).empty());
+  EXPECT_TRUE(make_line_count()->map("\n\n").empty());
+  EXPECT_EQ(make_grep("")->map("\n\n"), (KeyCounts{{"", 2}}));
+}
+
+TEST(TextJobKernels, GrepPatternsAtLineEdgesMatchOracle) {
+  std::mt19937_64 rng(4);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 200; ++i) {
+    std::string line;
+    for (int w = 0; w < 1 + i % 7; ++w) {
+      if (w > 0) line.push_back(' ');
+      line += random_word(rng, 1 + static_cast<std::size_t>(i * w) % 11);
+    }
+    lines.push_back(line);
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  text += lines[5];  // a last line without '\n'
+  std::vector<std::string> patterns = {""};
+  for (const std::string& line : {lines[5], lines[17], lines[42]}) {
+    for (std::size_t n = 1; n <= 4 && n <= line.size(); ++n) {
+      patterns.push_back(line.substr(0, n));              // line start
+      patterns.push_back(line.substr(line.size() - n));   // line end
+    }
+    patterns.push_back(line);
+  }
+  expect_matches_oracles(text, patterns);
+}
+
+TEST(TextJobKernels, ManyDistinctKeysMatchOracles) {
+  // ~250k distinct words grow the table many times over, and with that
+  // many keys some pairs share a stored 32-bit hash, so keys must really be
+  // compared.
+  std::mt19937_64 rng(5);
+  std::string text;
+  for (int i = 0; i < 250000; ++i) {
+    const auto len = std::uniform_int_distribution<std::size_t>(1, 16)(rng);
+    text += random_word(rng, len);
+    text += random_delimiters(rng, 2);
+  }
+  ASSERT_GE(oracle::word_count(text).size(), 5000u);
+  expect_matches_oracles(text, {""});
 }
 
 // --- block store -----------------------------------------------------------------
