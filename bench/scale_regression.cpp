@@ -27,34 +27,28 @@
 // events/sec and the resulting speedup, recording pre/post comparisons
 // measured by the same harness on the same hardware.
 //
-// Usage: scale_regression [--quick] [--out PATH] [--baseline PATH]
-//        [--max-regress X] [--prev PATH] [--seed N]
+// --help lists every flag.
 
 #include <sys/resource.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "common.h"
+#include "report.h"
 #include "dfs/cluster/simulation.h"
 #include "dfs/core/scheduler.h"
 #include "dfs/net/topology.h"
-#include "dfs/util/args.h"
+#include "dfs/util/flags.h"
 
 using namespace dfs;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Process high-water RSS in MiB (ru_maxrss is KiB on Linux). Monotone over
 /// the process lifetime, so run the big case last and read after each case.
@@ -145,58 +139,40 @@ void write_section(std::ostringstream& json, const char* name,
        << "    \"peak_rss_mb\": " << r.peak_rss_mb;
 }
 
-/// Crude but sufficient extraction of `"key": <number>` following
-/// `"section"` in a JSON report this harness wrote. Returns 0 when absent.
-double extract_number(const std::string& json, const std::string& section,
-                      const std::string& key) {
-  const auto sec = json.find('"' + section + '"');
-  if (sec == std::string::npos) return 0.0;
-  const auto pos = json.find('"' + key + "\":", sec);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
-}
-
-int usage_error(const std::string& message) {
-  std::cerr << "scale_regression: " << message << "\n";
-  return 2;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout << "scale_regression - 10k-slave cluster macro perf harness\n"
-                 "  --quick            2k-slave case only (CI-sized)\n"
-                 "  --out PATH         JSON report path [BENCH_scale.json]\n"
-                 "  --baseline PATH    compare events/sec against a committed\n"
-                 "                     report; exit 1 on regression\n"
-                 "  --max-regress X    allowed fractional regression [0.25]\n"
-                 "  --prev PATH        embed a prior report's full-case\n"
-                 "                     events/sec + the speedup over it\n"
-                 "  --seed N           arrival/placement seed [1]\n";
-    return 0;
+  bool quick = false;
+  std::string out_path = "BENCH_scale.json";
+  std::optional<std::string> baseline_path, prev_path;
+  double max_regress = 0.25;
+  int seed = 1;
+  util::FlagTable flags("scale_regression",
+                        "10k-slave cluster macro perf harness");
+  flags.toggle("quick", &quick, "2k-slave case only (CI-sized)");
+  flags.text("out", &out_path, "JSON report path");
+  flags.text("baseline", &baseline_path,
+             "committed report to gate events/sec against");
+  flags.number("max-regress", &max_regress, "[0,1)",
+               "allowed fractional regression");
+  flags.text("prev", &prev_path,
+             "prior report; embed its full-case events/sec + speedup");
+  flags.integer("seed", &seed, "[0,inf)", "arrival/placement seed");
+  if (const auto status = flags.parse(argc, argv)) return *status;
+  // Read the input reports before the runs, so a bad path fails at once.
+  std::optional<std::string> base;
+  if (baseline_path && !(base = bench::read_file(*baseline_path))) {
+    return flags.fail("cannot read baseline " + *baseline_path);
   }
-  const bool quick = args.has("quick");
-  const std::string out_path = args.get_or("out", "BENCH_scale.json");
-  const auto baseline_path = args.get("baseline");
-  const auto prev_path = args.get("prev");
-  const double max_regress = args.get_double("max-regress", 0.25);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (max_regress < 0.0 || max_regress >= 1.0) {
-    return usage_error("--max-regress must be in [0, 1)");
-  }
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return usage_error("unknown flag --" + unknown.front());
+  double prev_full_rate = 0.0;
+  if (prev_path) {
+    const auto prev = bench::read_file(*prev_path);
+    if (!prev) return flags.fail("cannot read prev report " + *prev_path);
+    prev_full_rate =
+        bench::extract_number(*prev, "scale_full", "events_per_sec");
+    if (prev_full_rate <= 0.0) {
+      return flags.fail("prev report has no scale_full events_per_sec");
+    }
   }
 
   // Quick first so the full case's peak-RSS reading is not polluted by a
@@ -208,18 +184,6 @@ int main(int argc, char** argv) {
   const CaseResult quick_result = run_case(quick_case, seed);
   CaseResult full_result;
   if (!quick) full_result = run_case(full_case, seed);
-
-  double prev_full_rate = 0.0;
-  if (prev_path) {
-    std::string prev;
-    if (!read_file(*prev_path, prev)) {
-      return usage_error("cannot read prev report " + *prev_path);
-    }
-    prev_full_rate = extract_number(prev, "scale_full", "events_per_sec");
-    if (prev_full_rate <= 0.0) {
-      return usage_error("prev report has no scale_full events_per_sec");
-    }
-  }
 
   std::ostringstream json;
   json << std::setprecision(10);
@@ -240,39 +204,13 @@ int main(int argc, char** argv) {
   }
   json << "\n  }\n}\n";
 
-  std::ofstream out(out_path);
-  if (!out) return usage_error("cannot write " + out_path);
-  out << json.str();
-  out.close();
-  std::cout << json.str();
-  std::cerr << "report written to " << out_path << "\n";
-
-  if (baseline_path) {
-    std::string base;
-    if (!read_file(*baseline_path, base)) {
-      return usage_error("cannot read baseline " + *baseline_path);
-    }
-    bool failed = false;
-    const auto gate = [&](const std::string& section, double current) {
-      const double ref = extract_number(base, section, "events_per_sec");
-      if (ref <= 0.0) {
-        std::cerr << "baseline: no " << section << " events_per_sec; skipped\n";
-        return;
-      }
-      const double floor = ref * (1.0 - max_regress);
-      std::cerr << "baseline " << section << ": " << std::fixed
-                << std::setprecision(0) << current << " vs " << ref
-                << " (floor " << floor << ")\n";
-      if (current < floor) {
-        std::cerr << "FAIL: " << section << " events/sec regressed more than "
-                  << max_regress * 100.0 << "%\n";
-        failed = true;
-      }
-    };
-    gate("scale_quick", quick_result.events_per_sec);
-    if (!quick) gate("scale_full", full_result.events_per_sec);
-    if (failed) return 1;
-    std::cerr << "baseline check passed\n";
+  if (!bench::write_report(out_path, json.str())) {
+    return flags.fail("cannot write " + out_path);
   }
-  return 0;
+
+  if (!base) return 0;
+  bench::BaselineGate gate{*base, max_regress};
+  gate("scale_quick", quick_result.events_per_sec);
+  if (!quick) gate("scale_full", full_result.events_per_sec);
+  return gate.status();
 }

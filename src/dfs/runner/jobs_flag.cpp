@@ -2,8 +2,6 @@
 
 #include <charconv>
 
-#include "dfs/runner/thread_pool.h"
-
 namespace dfs::runner {
 
 std::optional<int> parse_jobs(const std::string& text) {
@@ -15,16 +13,6 @@ std::optional<int> parse_jobs(const std::string& text) {
   if (ec != std::errc{} || ptr != end) return std::nullopt;  // junk/overflow
   if (value < 1) return std::nullopt;
   return value;
-}
-
-std::optional<int> jobs_from_args(const util::Args& args) {
-  const auto raw = args.get("jobs");
-  if (!raw) {
-    // "--jobs" with no value is a user error, not a request for the default.
-    if (args.has("jobs")) return std::nullopt;
-    return default_jobs();
-  }
-  return parse_jobs(*raw);
 }
 
 }  // namespace dfs::runner

@@ -428,6 +428,74 @@ TEST(Network, FairShareCancelHeavyChurnMatchesNaive) {
   EXPECT_EQ(net.fair_share_classes_active(), 0);
 }
 
+TEST(Network, BurstWavesMatchFrozenPerFlowEngine) {
+  // perf_regression's network workload, op for op: per wave a 16-source
+  // degraded-read fan-in, an 8x8 shuffle burst 0.4 s later, and a
+  // cancellation of every third fan-in flow at a random instant. Paper
+  // links (1 Gb/s rack links, node/core unlimited), so many flows share
+  // identical contended paths and collapse into classes. The cross-check
+  // re-derives every batched decision with the naive per-flow pass, and the
+  // pinned values are those of the frozen pre-aggregation engine (a full
+  // per-flow water-filling pass on every op) on this workload: the
+  // aggregated engine reproduces its completion times bit for bit.
+  sim::Simulator sim;
+  const Topology topo(4, 10);
+  const LinkConfig links;
+  Network net(sim, topo, links);
+  net.set_fair_share_cross_check(true);
+  util::Rng rng(24601);
+  double checksum = 0.0;  // order-insensitive: sum of completion time * tag
+  std::uint64_t completed = 0;
+  std::uint64_t ops = 0;  // transfers started + cancellations attempted
+  long tag = 0;
+  std::vector<std::vector<FlowId>> fan_ids(120);
+  for (int w = 0; w < 120; ++w) {
+    const double t = w * 1.0;
+    const auto fan_dst = static_cast<NodeId>(rng.uniform_int(0, 39));
+    for (int i = 0; i < 16; ++i) {
+      const auto src = static_cast<NodeId>(rng.uniform_int(0, 39));
+      const double size = rng.uniform(2e7, 6e7);
+      const long mytag = ++tag;
+      sim.schedule_at(t, [&, w, src, fan_dst, size, mytag] {
+        ++ops;
+        fan_ids[static_cast<std::size_t>(w)].push_back(
+            net.transfer(src, fan_dst, size, [&, mytag] {
+              checksum += sim.now() * static_cast<double>(mytag);
+              ++completed;
+            }));
+      });
+    }
+    for (int m = 0; m < 8; ++m) {
+      const auto ms = static_cast<NodeId>(rng.uniform_int(0, 39));
+      for (int r = 0; r < 8; ++r) {
+        const auto rd = static_cast<NodeId>(rng.uniform_int(0, 39));
+        const double size = rng.uniform(2e6, 6e6);
+        const long mytag = ++tag;
+        sim.schedule_at(t + 0.4, [&, ms, rd, size, mytag] {
+          ++ops;
+          net.transfer(ms, rd, size, [&, mytag] {
+            checksum += sim.now() * static_cast<double>(mytag);
+            ++completed;
+          });
+        });
+      }
+    }
+    sim.schedule_at(t + rng.uniform(0.2, 0.9), [&, w] {
+      const auto& ids = fan_ids[static_cast<std::size_t>(w)];
+      for (std::size_t i = 0; i < ids.size(); i += 3) {
+        ++ops;
+        net.cancel(ids[i]);
+      }
+    });
+  }
+  sim.run();
+
+  EXPECT_EQ(checksum, 0x1.b628178b850e4p+31);
+  EXPECT_EQ(completed, 9074u);
+  EXPECT_EQ(ops, 10320u);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
 TEST(Network, FairShareSameTimestampBurstsCoalesce) {
   // A k-fan-out burst started inside one event — the shape of a degraded
   // read fetching k blocks at once — must coalesce into a single zero-delay

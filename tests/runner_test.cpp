@@ -11,7 +11,6 @@
 #include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/runner/thread_pool.h"
-#include "dfs/util/args.h"
 
 namespace dfs::runner {
 namespace {
@@ -121,31 +120,6 @@ TEST(JobsFlag, ParseRejectsZeroNegativeAndJunk) {
   EXPECT_FALSE(parse_jobs(" 4"));
   EXPECT_FALSE(parse_jobs("4.0"));
   EXPECT_FALSE(parse_jobs("99999999999999999999"));  // overflow
-}
-
-util::Args make_args(std::vector<std::string> argv) {
-  argv.insert(argv.begin(), "test");
-  std::vector<char*> ptrs;
-  ptrs.reserve(argv.size());
-  for (auto& s : argv) ptrs.push_back(s.data());
-  return util::Args(static_cast<int>(ptrs.size()), ptrs.data());
-}
-
-TEST(JobsFlag, FromArgsDefaultsWhenAbsent) {
-  const auto args = make_args({});
-  EXPECT_EQ(jobs_from_args(args), default_jobs());
-}
-
-TEST(JobsFlag, FromArgsReadsValue) {
-  const auto args = make_args({"--jobs", "3"});
-  EXPECT_EQ(jobs_from_args(args), 3);
-}
-
-TEST(JobsFlag, FromArgsRejectsBadValues) {
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs", "0"})));
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs", "nope"})));
-  // A bare --jobs with no value is a user error, not a default request.
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs"})));
 }
 
 // --- tool-level determinism --------------------------------------------------

@@ -1,29 +1,42 @@
 #!/bin/sh
-# Flag-probe gate for dfsim and dfscluster, generated from each tool's
-# --help table rather than from a hand-kept list. For every numeric flag it
+# Flag-probe gate for dfsim, dfscluster and the perf_regression and
+# scale_regression harnesses, generated from each binary's --help table
+# rather than from a hand-kept list. For every numeric flag it
 # passes nan, a number with trailing junk, a value just outside the printed
 # range, and no value at all; every choice flag gets an unknown option; each
 # tool also gets an unknown flag and a stray positional argument. Every probe
 # must exit 1 within 10 s with an error on stderr that names the flag (and,
 # for a bad value, its range). The motivating defects are checked by name
 # at the end: NaN horizons that never terminated, and atoi/atof quietly
-# reading "abc" as 0 or "3x" as 3.
+# reading "abc" as 0 or "3x" as 3 (in the harnesses, a --max-regress of 0
+# that gated every metric at 0 % tolerance).
 #
-# Usage: tool_flags.sh <tools_dir>
+# Usage: tool_flags.sh <tools_dir> <bench_dir>
 set -u
 
-TOOLS_DIR=$1
+TOOLS_DIR=$(cd "$1" && pwd) || exit 1
+BENCH_DIR=$(cd "$2" && pwd) || exit 1
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
+# A probe that wrongly starts a run writes its report here, not in the
+# caller's directory.
+cd "$WORK" || exit 1
 probes=0
 failures=0
+
+bin() {
+  case $1 in
+    *_regression) echo "$BENCH_DIR/$1" ;;
+    *) echo "$TOOLS_DIR/$1" ;;
+  esac
+}
 
 # expect_error <tool> <flag> <range|""> [args...]
 expect_error() {
   tool=$1 flag=$2 range=$3
   shift 3
   probes=$((probes + 1))
-  timeout 10 "$TOOLS_DIR/$tool" "$@" > "$WORK/out" 2> "$WORK/err"
+  timeout 10 "$(bin "$tool")" "$@" > "$WORK/out" 2> "$WORK/err"
   rc=$?
   if [ "$rc" -ne 1 ]; then
     echo "FAIL: $tool $*: exit $rc, want 1 (124 = killed after 10 s)" >&2
@@ -48,8 +61,8 @@ outside() {
   }'
 }
 
-for tool in dfsim dfscluster; do
-  if ! timeout 10 "$TOOLS_DIR/$tool" --help > "$WORK/help"; then
+for tool in dfsim dfscluster perf_regression scale_regression; do
+  if ! timeout 10 "$(bin "$tool")" --help > "$WORK/help"; then
     echo "FAIL: $tool --help did not exit 0" >&2
     failures=$((failures + 1))
     continue
@@ -88,6 +101,10 @@ expect_error dfsim --racks "[1,inf)" --racks 3x
 expect_error dfsim --sources "random|samerack" --sources bogus
 expect_error dfsim stray "" --seeds 1 stray
 expect_error dfscluster stray "" --hours 0.1 stray
+expect_error perf_regression --max-regress "[0,1)" --max-regress abc
+expect_error perf_regression --seeds "[1,inf)" --seeds 2x
+expect_error scale_regression --seed "[0,inf)" --seed abc
+expect_error scale_regression --max-regress "[0,1)" --max-regress 1e-400x
 
 if [ "$failures" -ne 0 ]; then
   echo "tool_flags: $failures of $probes probes failed" >&2
