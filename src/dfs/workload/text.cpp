@@ -1,6 +1,8 @@
 #include "dfs/workload/text.h"
 
 #include <array>
+#include <cassert>
+#include <cstring>
 #include <vector>
 
 namespace dfs::workload {
@@ -54,26 +56,51 @@ const std::vector<std::string>& vocabulary() {
   return words;
 }
 
+// A vocabulary word as generate_text writes it: the word, then a space,
+// then padding, so each word is one fixed-size copy.
+constexpr std::size_t kPad = 16;
+constexpr int kMaxWordsPerLine = 12;
+
+struct PaddedWord {
+  std::array<char, kPad> bytes{};
+  std::size_t advance = 0;  // word length + 1 for the separator
+};
+
+std::vector<PaddedWord> padded_vocabulary() {
+  std::vector<PaddedWord> table(vocabulary().size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::string& word = vocabulary()[i];
+    assert(word.size() < kPad);
+    std::memcpy(table[i].bytes.data(), word.data(), word.size());
+    table[i].bytes[word.size()] = ' ';
+    table[i].advance = word.size() + 1;
+  }
+  return table;
+}
+
 }  // namespace
 
 const std::string& vocabulary_word(std::size_t rank) {
   return vocabulary()[rank % vocabulary().size()];
 }
 
-std::size_t vocabulary_size() { return vocabulary().size(); }
-
 std::string generate_text(util::Rng& rng, std::size_t approx_bytes) {
-  std::string out;
-  out.reserve(approx_bytes + 64);
-  while (out.size() < approx_bytes) {
-    const int words_in_line = rng.uniform_int(4, 12);
+  static const std::vector<PaddedWord> words = padded_vocabulary();
+  // A line starts below approx_bytes and its words write at most
+  // kMaxWordsPerLine * kPad bytes, so the buffer is sized once.
+  std::string out(approx_bytes + kMaxWordsPerLine * kPad, '\0');
+  char* const text = out.data();
+  std::size_t len = 0;
+  while (len < approx_bytes) {
+    const int words_in_line = rng.uniform_int(4, kMaxWordsPerLine);
     for (int w = 0; w < words_in_line; ++w) {
-      const std::size_t rank = rng.zipf(vocabulary_size(), 1.05);
-      if (w > 0) out.push_back(' ');
-      out += vocabulary_word(rank - 1);
+      const PaddedWord& word = words[rng.zipf(words.size(), 1.05) - 1];
+      std::memcpy(text + len, word.bytes.data(), kPad);
+      len += word.advance;
     }
-    out.push_back('\n');
+    text[len - 1] = '\n';  // the line's last separator
   }
+  out.resize(len);
   return out;
 }
 

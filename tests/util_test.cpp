@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
+#include <vector>
 
 #include <sstream>
 
@@ -122,6 +126,102 @@ TEST(Rng, ZipfRankOneMostFrequent) {
   }
   EXPECT_GT(hits[1], hits[2]);
   EXPECT_GT(hits[2], hits[10]);
+}
+
+// The Zipf draw before the guide table, kept as the oracle: the same cached
+// CDF, the same uniform(0, 1) draw, and std::lower_bound over the CDF.
+class LowerBoundZipf {
+ public:
+  explicit LowerBoundZipf(std::uint64_t seed) : engine_(seed) {}
+
+  std::size_t zipf(std::size_t n, double s) {
+    if (n_ != n || s_ != s) {
+      n_ = n;
+      s_ = s;
+      cdf_.resize(n);
+      double acc = 0.0;
+      for (std::size_t r = 1; r <= n; ++r) {
+        acc += 1.0 / std::pow(static_cast<double>(r), s);
+        cdf_[r - 1] = acc;
+      }
+      for (auto& c : cdf_) c /= acc;
+    }
+    const double u = std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return static_cast<std::size_t>(it - cdf_.begin()) + 1;
+  }
+
+  const std::mt19937_64& engine() const { return engine_; }
+
+ private:
+  std::mt19937_64 engine_;
+  std::size_t n_ = 0;
+  double s_ = 0.0;
+  std::vector<double> cdf_;
+};
+
+struct ZipfArgs {
+  std::size_t n;
+  double s;
+};
+
+// Draws `draws` ranks, switching between `args` after runs of 1, 2, ..., 64
+// draws (one argument set never switches), and requires every rank and the
+// final engine state to match the oracle's.
+void expect_zipf_matches_lower_bound(std::uint64_t seed,
+                                     const std::vector<ZipfArgs>& args,
+                                     int draws) {
+  Rng rng(seed);
+  LowerBoundZipf oracle(seed);
+  std::size_t which = 0;
+  int run = 1;
+  int left = run;
+  for (int i = 0; i < draws; ++i) {
+    const ZipfArgs& a = args[which];
+    const std::size_t want = oracle.zipf(a.n, a.s);
+    const std::size_t got = rng.zipf(a.n, a.s);
+    if (got != want) {
+      FAIL() << "draw " << i << " of zipf(" << a.n << ", " << a.s
+             << "): got " << got << ", lower_bound gives " << want;
+    }
+    if (--left == 0) {
+      which = (which + 1) % args.size();
+      run = run % 64 + 1;
+      left = run;
+    }
+  }
+  EXPECT_TRUE(rng.engine() == oracle.engine());
+}
+
+TEST(Rng, ZipfMatchesLowerBoundSingleRank) {
+  expect_zipf_matches_lower_bound(11, {{1, 1.0}}, 1'000'000);
+}
+
+TEST(Rng, ZipfMatchesLowerBoundUniform) {
+  expect_zipf_matches_lower_bound(12, {{2, 0.0}}, 1'000'000);
+}
+
+TEST(Rng, ZipfMatchesLowerBoundSteep) {
+  expect_zipf_matches_lower_bound(13, {{8, 1.2}}, 1'000'000);
+}
+
+TEST(Rng, ZipfMatchesLowerBoundTextVocabulary) {
+  expect_zipf_matches_lower_bound(14, {{200, 1.05}}, 1'000'000);
+}
+
+TEST(Rng, ZipfMatchesLowerBoundAcrossCacheRebuilds) {
+  expect_zipf_matches_lower_bound(15, {{200, 1.05}, {8, 1.2}}, 1'000'000);
+}
+
+// Flat and steep shapes, and n above the guide's 1024 buckets, where one
+// bucket spans many ranks and the forward scan runs long.
+TEST(Rng, ZipfMatchesLowerBoundAcrossManyShapes) {
+  for (const std::size_t n : {3u, 20u, 1000u, 5000u}) {
+    for (const double s : {0.5, 1.0, 2.5}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << ", s " << s);
+      expect_zipf_matches_lower_bound(n, {{n, s}}, 20'000);
+    }
+  }
 }
 
 TEST(Rng, ForkIndependence) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "dfs/workload/scenarios.h"
 #include "dfs/workload/text.h"
@@ -131,6 +133,40 @@ TEST(Text, ZipfSkewTowardCommonWords) {
     return count;
   };
   EXPECT_GT(count_word(vocabulary_word(0)), count_word(vocabulary_word(150)));
+}
+
+// Pins generate_text's bytes and the Rng position it leaves: FNV-1a of the
+// text, its size, and the next raw engine draw. Recorded from the
+// std::lower_bound Zipf draw and the push_back text builder.
+TEST(Text, OutputAndStreamArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t approx_bytes;
+    std::size_t size;
+    std::uint64_t fnv1a;
+    std::uint64_t next_draw;
+  };
+  const Pin pins[] = {
+      {1, 1 << 20, 1048593, 0xa49d68c20ba2c7d3ULL, 0x88c672dbc16e799eULL},
+      {1, 10007, 10048, 0x1c66dda7914dff8eULL, 0x5054f267bf58729dULL},
+      {4242, 1 << 20, 1048605, 0xfd29d64960d37544ULL, 0xd95561a9f13d5680ULL},
+      {4242, 10007, 10021, 0x2c01b1f78f0240fcULL, 0xae43c0516c82b17bULL},
+      // Nothing requested: no bytes and no draws.
+      {1, 0, 0, 0xcbf29ce484222325ULL, 0x2245bd5fbb686f68ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << pin.seed << ", "
+                                    << pin.approx_bytes << " bytes");
+    util::Rng rng(pin.seed);
+    const std::string text = generate_text(rng, pin.approx_bytes);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+      hash = (hash ^ c) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(text.size(), pin.size);
+    EXPECT_EQ(hash, pin.fnv1a);
+    EXPECT_EQ(rng.engine()(), pin.next_draw);
+  }
 }
 
 TEST(Text, DeterministicPerSeed) {
