@@ -496,6 +496,75 @@ TEST(Network, BurstWavesMatchFrozenPerFlowEngine) {
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
+TEST(Network, ShuffleFanOutWavesMatchPerFlowEngine) {
+  // The shuffle's shape: a finished map starts one partition flow per
+  // reducer, all of one size at one instant from one source. 30 reducers
+  // sit on 4 racks of 10 under paper links (rack links contend, node links
+  // do not), so in-rack partitions are uncontended and cross-rack ones
+  // share one class per destination rack. Per wave six maps finish; the
+  // first two at the same instant with the same size, so same-rack sources
+  // share a class and a residual too. One reducer dies per wave and its
+  // in-flight partitions are cancelled. The cross-check re-derives every
+  // batched decision per flow. The pinned values are those of the engine
+  // that kept one live entry and one delivery event per flow; the order
+  // hash pins the delivery sequence, not just the completion times.
+  sim::Simulator sim;
+  const Topology topo(4, 10);
+  const LinkConfig links;
+  Network net(sim, topo, links);
+  net.set_fair_share_cross_check(true);
+  util::Rng rng(8128);
+  constexpr int kReducers = 30;
+  std::vector<NodeId> reducers;
+  for (int r = 0; r < kReducers; ++r) {
+    reducers.push_back(static_cast<NodeId>(rng.uniform_int(0, 39)));
+  }
+  std::vector<std::vector<FlowId>> to_reducer(kReducers);
+  double checksum = 0.0;  // sum of completion time * tag
+  std::uint64_t order = 1469598103934665603ull;  // FNV-1a over delivered tags
+  std::uint64_t completed = 0;
+  std::uint64_t cancelled = 0;
+  long tag = 0;
+  for (int w = 0; w < 40; ++w) {
+    const double t = w * 0.5;
+    double size = 0.0;
+    for (int m = 0; m < 6; ++m) {
+      const auto src = static_cast<NodeId>(rng.uniform_int(0, 39));
+      if (m != 1) size = rng.uniform(1e6, 4e6);
+      const double at = m < 2 ? t : t + rng.uniform(0.0, 0.5);
+      const long first = tag + 1;
+      tag += kReducers;
+      sim.schedule_at(at, [&, src, size, first] {
+        for (int r = 0; r < kReducers; ++r) {
+          const long mytag = first + r;
+          to_reducer[static_cast<std::size_t>(r)].push_back(net.transfer(
+              src, reducers[static_cast<std::size_t>(r)], size, [&, mytag] {
+                checksum += sim.now() * static_cast<double>(mytag);
+                order = (order ^ static_cast<std::uint64_t>(mytag)) *
+                        1099511628211ull;
+                ++completed;
+              }));
+        }
+      });
+    }
+    const auto dead = static_cast<std::size_t>(rng.uniform_int(0, 29));
+    sim.schedule_at(t + rng.uniform(0.0, 0.5), [&, dead] {
+      for (const FlowId id : to_reducer[dead]) {
+        if (net.cancel(id)) ++cancelled;
+      }
+      to_reducer[dead].clear();
+    });
+  }
+  sim.run();
+
+  EXPECT_EQ(checksum, 0x1.4e28d1d987769p+28);
+  EXPECT_EQ(order, 9592777369719396129u);
+  EXPECT_EQ(completed, 5660u);
+  EXPECT_EQ(cancelled, 1540u);
+  EXPECT_EQ(completed + cancelled, 40u * 6u * kReducers);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
 TEST(Network, FairShareSameTimestampBurstsCoalesce) {
   // A k-fan-out burst started inside one event — the shape of a degraded
   // read fetching k blocks at once — must coalesce into a single zero-delay
