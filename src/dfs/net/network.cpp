@@ -102,9 +102,23 @@ FlowId Network::transfer(NodeId src, NodeId dst, util::Bytes size,
 
   if (f.path.empty() || size <= kFinishEpsilon) {
     // Uncontended (same node, or all segments unlimited): deliver on the
-    // next dispatch so callers never observe re-entrant completion.
+    // next dispatch so callers never observe re-entrant completion. While
+    // the open delivery event is still the last one scheduled, nothing can
+    // run between it and a new event of this flow, so joining it is exact.
+    // It has not fired (that resets open_head_), so only Simulator::clear()
+    // can have dropped it, and then nothing at all is pending.
     f.state = FlowState::kUncontended;
-    sim_.schedule_in(0.0, [this, slot] { deliver(slot); });
+    f.next = kNoSlot;
+    if (open_head_ != kNoSlot && sim_.events_scheduled() == open_mark_ &&
+        sim_.events_pending() > 0) {
+      slots_[open_tail_].next = slot;
+      open_tail_ = slot;
+      return id;
+    }
+    open_head_ = open_tail_ = slot;
+    sim_.schedule_now([this, slot] { deliver_uncontended(slot); });
+    open_mark_ = sim_.events_scheduled();
+    ++delivery_events_;
     return id;
   }
 
@@ -149,8 +163,8 @@ bool Network::cancel(FlowId id) {
   const Path path = f.path;
   if (model_ == ContentionModel::kMaxMinFairShare) {
     fair_share_advance();
-    const int cls = f.cls;
-    live_remove(static_cast<std::size_t>(f.live));
+    const int cls = live_cls_[static_cast<std::size_t>(f.live)];
+    live_unlink(slot);
     release_slot(slot);
     mark_links_active(path, -1);
     ++flows_cancelled_;
@@ -158,7 +172,7 @@ bool Network::cancel(FlowId id) {
     fair_share_mark_dirty(path);
   } else {
     sim_.cancel(f.completion);
-    live_remove(static_cast<std::size_t>(f.live));
+    live_unlink(slot);
     release_slot(slot);
     for (int link : path) {
       links_[static_cast<std::size_t>(link)].held = false;
@@ -192,23 +206,55 @@ void Network::release_slot(std::uint32_t slot) {
 void Network::live_insert(std::uint32_t slot, util::Bytes remaining, int cls) {
   FlowSlot& f = slots_[slot];
   f.state = FlowState::kLive;
-  f.live = static_cast<int>(live_slot_.size());
-  f.cls = cls;
-  live_slot_.push_back(slot);
+  f.live = static_cast<int>(live_head_.size());
+  f.next = kNoSlot;
+  live_head_.push_back(slot);
   live_remaining_.push_back(remaining);
   live_cls_.push_back(cls);
+  ++live_flows_;
+}
+
+void Network::live_join(std::uint32_t slot, int i) {
+  FlowSlot& f = slots_[slot];
+  const auto g = static_cast<std::size_t>(i);
+  f.state = FlowState::kLive;
+  f.live = i;
+  f.next = live_head_[g];
+  live_head_[g] = slot;
+  ++live_flows_;
+}
+
+void Network::live_unlink(std::uint32_t slot) {
+  FlowSlot& f = slots_[slot];
+  const auto i = static_cast<std::size_t>(f.live);
+  std::uint32_t* link = &live_head_[i];
+  while (*link != slot) link = &slots_[*link].next;
+  *link = f.next;
+  f.next = kNoSlot;
+  f.live = -1;
+  --live_flows_;
+  if (live_head_[i] == kNoSlot) live_remove(i);
 }
 
 void Network::live_remove(std::size_t i) {
-  slots_[live_slot_[i]].live = -1;
-  const std::size_t last = live_slot_.size() - 1;
+  const auto forget = [this](std::size_t g, int now_at) {
+    const int cls = live_cls_[g];
+    if (cls < 0) return;  // kExclusiveFifo: no classes
+    int& join = classes_[static_cast<std::size_t>(cls)].join_live;
+    if (join == static_cast<int>(g)) join = now_at;
+  };
+  forget(i, -1);
+  const std::size_t last = live_head_.size() - 1;
   if (i != last) {
-    live_slot_[i] = live_slot_[last];
+    forget(last, static_cast<int>(i));
+    live_head_[i] = live_head_[last];
     live_remaining_[i] = live_remaining_[last];
     live_cls_[i] = live_cls_[last];
-    slots_[live_slot_[i]].live = static_cast<int>(i);
+    for (std::uint32_t s = live_head_[i]; s != kNoSlot; s = slots_[s].next) {
+      slots_[s].live = static_cast<int>(i);
+    }
   }
-  live_slot_.pop_back();
+  live_head_.pop_back();
   live_remaining_.pop_back();
   live_cls_.pop_back();
 }
@@ -222,6 +268,17 @@ void Network::deliver(std::uint32_t slot) {
   ++flows_completed_;
   bytes_delivered_ += size;
   if (done) done();
+}
+
+void Network::deliver_uncontended(std::uint32_t head) {
+  if (head == open_head_) open_head_ = kNoSlot;  // fired: no more joins
+  for (std::uint32_t slot = head; slot != kNoSlot;) {
+    // Read the link first: delivery frees the slot. Later members stay
+    // allocated until their turn, so callbacks never recycle them.
+    const std::uint32_t next = slots_[slot].next;
+    deliver(slot);
+    slot = next;
+  }
 }
 
 void Network::mark_links_active(const Path& links, int delta) {
@@ -254,8 +311,11 @@ Network::Stats Network::stats() const {
   s.full_recomputes = full_recomputes_;
   s.batched_recomputes = batched_recomputes_;
   s.component_recomputes = component_recomputes_;
-  s.classes_active = fair_share_classes_active();
+  s.classes_active = static_cast<int>(class_by_path_.size());
   s.bytes_delivered = bytes_delivered_;
+  s.live_groups_started = live_groups_started_;
+  s.delivery_events = delivery_events_;
+  s.waterfill_subtractions = waterfill_subtractions_;
   return s;
 }
 
@@ -272,10 +332,21 @@ Network::Stats Network::stats() const {
 void Network::fair_share_add(std::uint32_t slot) {
   fair_share_advance();
   const Path& path = slots_[slot].path;
+  const util::Bytes size = slots_[slot].size;
   mark_links_active(path, +1);
   const int cls = fair_share_class_for(path);
-  ++classes_[static_cast<std::size_t>(cls)].count;
-  live_insert(slot, slots_[slot].size, cls);
+  FlowClass& c = classes_[static_cast<std::size_t>(cls)];
+  ++c.count;
+  // Same class, same residual bits: the two take the same rate and the
+  // same floating-point steps from here on, so one live entry serves both.
+  if (c.join_live >= 0 &&
+      live_remaining_[static_cast<std::size_t>(c.join_live)] == size) {
+    live_join(slot, c.join_live);
+  } else {
+    c.join_live = static_cast<int>(live_head_.size());
+    live_insert(slot, size, cls);
+    ++live_groups_started_;
+  }
   fair_share_mark_dirty(path);
 }
 
@@ -293,6 +364,7 @@ int Network::fair_share_class_for(const Path& path) {
   FlowClass& c = classes_[static_cast<std::size_t>(cid)];
   c.links = path;
   c.count = 0;
+  c.join_live = -1;
   c.rate = 0.0;
   for (int s = 0; s < path.size; ++s) {
     auto& lc = link_classes_[static_cast<std::size_t>(path[s])];
@@ -467,13 +539,18 @@ void Network::fair_share_waterfill_component(const ComponentRange& comp) {
       c.wf_rate = best_share;
       unfrozen -= c.count;
       for (const int link : c.links) {
-        double& r = scratch_residual_[static_cast<std::size_t>(link)];
+        const auto l = static_cast<std::size_t>(link);
+        // A link left with no unfrozen flows is skipped by every later
+        // bottleneck search of this pass, so its residual is never read
+        // again (every bottleneck link ends here).
+        if ((scratch_count_[l] -= c.count) == 0) continue;
         // One subtraction per member flow, not one fused count*share
         // multiply: this replays the naive per-flow pass's floating-point
         // sequence exactly, keeping the aggregated engine bit-identical to
         // the reference (and to the pre-aggregation engine's outputs).
+        double& r = scratch_residual_[l];
         for (int m = 0; m < c.count; ++m) r -= best_share;
-        scratch_count_[static_cast<std::size_t>(link)] -= c.count;
+        waterfill_subtractions_ += static_cast<std::uint64_t>(c.count);
       }
     }
   }
@@ -488,7 +565,7 @@ void Network::fair_share_arm() {
     sim_.cancel(next_completion_);
     next_completion_ = {};
   }
-  if (live_slot_.empty()) return;
+  if (live_head_.empty()) return;
 
   // Arm the next completion event. Flows frozen at a zero rate (possible
   // only through floating-point drift on a saturated link) simply wait for
@@ -510,9 +587,14 @@ void Network::fair_share_on_completion() {
   batch_.clear();
   for (std::size_t i = 0; i < live_remaining_.size();) {
     if (live_remaining_[i] <= kFinishEpsilon) {
-      const std::uint32_t slot = live_slot_[i];
-      batch_.push_back({slots_[slot].seq, slot});
-      live_remove(i);  // moves the last live flow into i: look at i again
+      for (std::uint32_t slot = live_head_[i]; slot != kNoSlot;) {
+        FlowSlot& f = slots_[slot];
+        batch_.emplace_back(f.seq, slot, live_cls_[i]);
+        f.live = -1;
+        slot = std::exchange(f.next, kNoSlot);
+        --live_flows_;
+      }
+      live_remove(i);  // moves the last live group into i: look at i again
     } else {
       ++i;
     }
@@ -524,26 +606,26 @@ void Network::fair_share_on_completion() {
     return;
   }
   // Deliver in flow start order, matching the kernel's FIFO tie-break; the
-  // live arrays are in swap-removal order.
+  // live arrays are in swap-removal order and groups interleave.
   std::sort(batch_.begin(), batch_.end());
-  for (const auto& [seq, slot] : batch_) {
+  for (const auto& [seq, slot, cls] : batch_) {
     slots_[slot].state = FlowState::kFinishing;
     mark_links_active(slots_[slot].path, -1);
   }
-  for (const auto& [seq, slot] : batch_) {
-    fair_share_leave_class(slots_[slot].cls);
+  for (const auto& [seq, slot, cls] : batch_) {
+    fair_share_leave_class(cls);
   }
   // Mark dirty before the callbacks so their re-entrant transfers coalesce
   // into the same zero-delay recompute, which also performs the final
   // re-arm for this timestamp.
-  for (const auto& [seq, slot] : batch_) {
+  for (const auto& [seq, slot, cls] : batch_) {
     fair_share_mark_dirty(slots_[slot].path);
   }
   // Deliver the batch. A callback may cancel() a later flow of this same
   // batch (hedged reads cancelling losers); cancel marks it kSuppressed and
   // the loop drops it — cancelled, not completed. Callbacks never re-enter
   // this function, so batch_ is stable while they run.
-  for (const auto& [seq, slot] : batch_) {
+  for (const auto& [seq, slot, cls] : batch_) {
     if (slots_[slot].state == FlowState::kSuppressed) {
       release_slot(slot);
     } else {
@@ -552,17 +634,18 @@ void Network::fair_share_on_completion() {
   }
 }
 
-void Network::fair_share_naive_rates(std::vector<double>& out) {
+void Network::fair_share_naive_rates(const std::vector<std::uint32_t>& flows,
+                                     std::vector<double>& out) {
   ++full_recomputes_;
   // The pre-aggregation engine's progressive water-filling, verbatim, over
-  // individual flows: the reference every class/component/batching decision
-  // is checked against. Scratch counts return to zero by construction (one
-  // increment while seeding, one decrement when the flow freezes), so the
-  // production component passes never see leftovers.
-  out.assign(live_slot_.size(), -1.0);  // unfrozen marker
+  // individual flows: the reference every class/group/component/batching
+  // decision is checked against. Scratch counts return to zero by
+  // construction (one increment while seeding, one decrement when the flow
+  // freezes), so the production component passes never see leftovers.
+  out.assign(flows.size(), -1.0);  // unfrozen marker
   scratch_touched_.clear();
-  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
-    for (int link : slots_[live_slot_[i]].path) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (int link : slots_[flows[i]].path) {
       const auto l = static_cast<std::size_t>(link);
       if (scratch_count_[l] == 0) {
         scratch_touched_.push_back(link);
@@ -573,7 +656,7 @@ void Network::fair_share_naive_rates(std::vector<double>& out) {
       scratch_link_flows_[l].push_back(static_cast<int>(i));
     }
   }
-  std::size_t unfrozen = live_slot_.size();
+  std::size_t unfrozen = flows.size();
   while (unfrozen > 0) {
     int bottleneck = -1;
     double best_share = std::numeric_limits<double>::infinity();
@@ -593,7 +676,7 @@ void Network::fair_share_naive_rates(std::vector<double>& out) {
       if (rate >= 0.0) continue;  // already frozen via another link
       rate = best_share;
       --unfrozen;
-      for (int link : slots_[live_slot_[static_cast<std::size_t>(i)]].path) {
+      for (int link : slots_[flows[static_cast<std::size_t>(i)]].path) {
         scratch_residual_[static_cast<std::size_t>(link)] -= best_share;
         --scratch_count_[static_cast<std::size_t>(link)];
       }
@@ -602,68 +685,80 @@ void Network::fair_share_naive_rates(std::vector<double>& out) {
 }
 
 void Network::fair_share_cross_check() {
-  // Slab invariants: every live index and its slot's back-reference agree,
-  // the slab holds exactly active_flow_count() live flows, and no free slot
-  // is live or indexed.
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("fair-share cross check: " + what);
+  };
+  // Slab invariants: the slab holds exactly active_flow_count() live flows
+  // and no free slot is live or indexed.
   std::size_t live_slots = 0;
   std::size_t free_slots = 0;
   for (const FlowSlot& f : slots_) {
     if (f.state == FlowState::kLive) ++live_slots;
     if (f.state == FlowState::kFree) {
       ++free_slots;
-      if (f.live >= 0) {
-        throw std::logic_error("fair-share cross check: free slot is live");
+      if (f.live >= 0) fail("free slot is live");
+    }
+  }
+  // Group invariants: every group is non-empty and each member points back
+  // at its group; members per class add up to the class multiplicity.
+  std::vector<std::uint32_t> flows;
+  std::vector<int> flow_cls;
+  std::vector<int> members(classes_.size(), 0);
+  for (std::size_t i = 0; i < live_head_.size(); ++i) {
+    if (live_head_[i] == kNoSlot) {
+      fail("live group " + std::to_string(i) + " is empty");
+    }
+    for (std::uint32_t s = live_head_[i]; s != kNoSlot; s = slots_[s].next) {
+      const FlowSlot& f = slots_[s];
+      if (f.state != FlowState::kLive || f.live != static_cast<int>(i)) {
+        fail("live group " + std::to_string(i) +
+             " and its member's back-reference disagree");
       }
+      flows.push_back(s);
+      flow_cls.push_back(live_cls_[i]);
+      ++members[static_cast<std::size_t>(live_cls_[i])];
     }
   }
-  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
-    const FlowSlot& f = slots_[live_slot_[i]];
-    if (f.state != FlowState::kLive || f.live != static_cast<int>(i) ||
-        f.cls != live_cls_[i]) {
-      throw std::logic_error(
-          "fair-share cross check: live index " + std::to_string(i) +
-          " and its slot's back-reference disagree");
-    }
-  }
-  if (live_slots != static_cast<std::size_t>(active_flow_count()) ||
+  if (live_slots != flows.size() ||
+      flows.size() != static_cast<std::size_t>(active_flow_count()) ||
       free_slots != free_slots_.size()) {
-    throw std::logic_error(
-        "fair-share cross check: slab holds " + std::to_string(live_slots) +
-        " live and " + std::to_string(free_slots) + " free slots, expected " +
-        std::to_string(active_flow_count()) + " and " +
-        std::to_string(free_slots_.size()));
+    fail("slab holds " + std::to_string(live_slots) + " live and " +
+         std::to_string(free_slots) + " free slots, groups hold " +
+         std::to_string(flows.size()) + ", expected " +
+         std::to_string(active_flow_count()) + " and " +
+         std::to_string(free_slots_.size()));
   }
-  // Bookkeeping invariants: the class multiplicities must tile the live
-  // set exactly, and every class must be reachable through its links.
-  std::size_t members = 0;
+  // Class invariants: every class is non-empty, its multiplicity counts its
+  // members, and the group it offers to new flows is one of its own.
   for (const auto& [path, cid] : class_by_path_) {
     const FlowClass& c = classes_[static_cast<std::size_t>(cid)];
-    if (c.count <= 0) {
-      throw std::logic_error("fair-share cross check: empty class survived");
+    if (c.count <= 0) fail("empty class survived");
+    if (c.count != members[static_cast<std::size_t>(cid)]) {
+      fail("class " + std::to_string(cid) + " counts " +
+           std::to_string(c.count) + " members, its groups hold " +
+           std::to_string(members[static_cast<std::size_t>(cid)]));
     }
-    members += static_cast<std::size_t>(c.count);
+    if (c.join_live >= 0 &&
+        (static_cast<std::size_t>(c.join_live) >= live_head_.size() ||
+         live_cls_[static_cast<std::size_t>(c.join_live)] != cid)) {
+      fail("class " + std::to_string(cid) + " offers a foreign group");
+    }
   }
-  if (members != live_slot_.size()) {
-    throw std::logic_error(
-        "fair-share cross check: class multiplicities (" +
-        std::to_string(members) + ") do not tile the active set (" +
-        std::to_string(live_slot_.size()) + ")");
-  }
-  // Re-derive every rate with the naive per-flow reference and demand
-  // agreement (up to floating-point noise: the reference accumulates link
-  // residuals in flow order rather than class order).
+  // Re-derive every flow's rate with the naive per-flow reference and
+  // demand agreement (up to floating-point noise: the reference accumulates
+  // link residuals in flow order rather than class order).
   std::vector<double> naive;
-  fair_share_naive_rates(naive);
-  for (std::size_t i = 0; i < live_slot_.size(); ++i) {
-    const double engine = classes_[static_cast<std::size_t>(live_cls_[i])].rate;
+  fair_share_naive_rates(flows, naive);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const double engine =
+        classes_[static_cast<std::size_t>(flow_cls[i])].rate;
     const double full = naive[i];
     const double tol = 1e-9 * std::max(1.0, std::abs(full));
     if (std::abs(full - engine) > tol) {
-      const std::uint32_t slot = live_slot_[i];
       throw std::logic_error(
           "fair-share batched/aggregated engine diverged from the naive "
           "per-flow pass: flow " +
-          std::to_string(make_id(slot, slots_[slot].gen)) +
+          std::to_string(make_id(flows[i], slots_[flows[i]].gen)) +
           " engine=" + std::to_string(engine) +
           " naive=" + std::to_string(full));
     }
@@ -703,7 +798,7 @@ void Network::fifo_try_start_pending() {
 
 void Network::fifo_complete(std::uint32_t slot) {
   const Path path = slots_[slot].path;
-  live_remove(static_cast<std::size_t>(slots_[slot].live));
+  live_unlink(slot);
   for (int link : path) {
     links_[static_cast<std::size_t>(link)].held = false;
   }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -63,13 +64,10 @@ using FlowId = std::uint64_t;
 /// Every flow lives in a slab of generation-tagged slots (the pattern of
 /// sim::Simulator's event slots): its path is an inline array and its
 /// callback a sim::SmallFn, so starting a flow allocates nothing once the
-/// slab has grown, and cancel() is an indexed access. Live flows are also
-/// indexed by dense arrays of slot, residual bytes and class, which the
-/// per-timestamp passes (advance, arm, collect finished) sweep linearly.
+/// slab has grown, and cancel() is an indexed access.
 ///
 /// The max–min fair-share model allocates rates by water-filling, organized
-/// around three exact optimizations (docs/performance.md has the full
-/// derivation):
+/// around exact optimizations (docs/performance.md has the full derivation):
 ///
 /// - **Flow classes.** Flows with the same contended path receive the same
 ///   max–min rate, so they collapse into one class with a multiplicity
@@ -77,14 +75,26 @@ using FlowId = std::uint64_t;
 ///   LinkConfig every cross-rack flow contends on exactly its two rack
 ///   links, so the class count is bounded by rack pairs regardless of how
 ///   many flows are in flight.
+/// - **Live groups.** The per-timestamp passes (advance, arm, collect
+///   finished) sweep dense arrays of live *groups*, not flows: a new flow
+///   joins its class's most recent group when that group's residual equals
+///   the flow's size bit for bit (a shuffle fan-out's partitions to one
+///   rack, started at one instant). Members share a class rate and a
+///   residual, so they take the same floating-point steps as separate
+///   entries would and finish in the same batch; each keeps its own slot,
+///   handle and start order, and a single flow is a group of one.
 /// - **Component-scoped recompute.** Max–min allocations decompose over
 ///   connected components of the class/link sharing graph, so a change
 ///   re-waterfills only the component it touched (discovered by flood-fill
 ///   from the changed links); everyone else's rate is provably unchanged.
+///   A link's residual is replayed only while it still has unfrozen flows.
 /// - **Batch coalescing.** transfer()/cancel()/completions mark their links
 ///   dirty and schedule one zero-delay recompute through the simulator, so
 ///   a k-source degraded read or an n-flow shuffle wave pays one pass per
-///   simulated timestamp instead of k or n.
+///   simulated timestamp instead of k or n. Consecutive uncontended
+///   transfers share one zero-delay delivery event while it is still the
+///   last event the kernel has scheduled, which delivers them in the order
+///   separate events would.
 class Network {
  public:
   /// Counter snapshot for observability (JSONL reporting in the tools).
@@ -98,6 +108,10 @@ class Network {
     std::uint64_t component_recomputes = 0;  ///< multi-class component passes
     int classes_active = 0;                  ///< live flow classes right now
     util::Bytes bytes_delivered = 0.0;
+    // Work counters, not written by append_net_stats.
+    std::uint64_t live_groups_started = 0;  ///< flows that joined no group
+    std::uint64_t delivery_events = 0;  ///< zero-delay uncontended deliveries
+    std::uint64_t waterfill_subtractions = 0;  ///< per-member residual steps
   };
 
   Network(sim::Simulator& simulator, const Topology& topology,
@@ -129,47 +143,23 @@ class Network {
   util::Seconds isolated_transfer_time(NodeId src, NodeId dst,
                                        util::Bytes size) const;
 
-  ContentionModel model() const { return model_; }
   const Topology& topology() const { return topology_; }
 
   /// Debug mode: after every batched fair-share recompute, re-derive every
-  /// rate with a naive per-flow water-filling pass over the whole active set
-  /// and verify the class-aggregated, component-scoped engine produced the
-  /// same allocation (throws std::logic_error on divergence). Also checks
-  /// the class bookkeeping and the flow slab: every live index agrees with
-  /// its slot's back-reference, the slab holds exactly active_flow_count()
-  /// live flows, and no free slot is live. Costs a full pass per recompute —
-  /// for tests only.
+  /// flow's rate with a naive per-flow water-filling pass over the whole
+  /// active set and verify the class-aggregated, component-scoped engine
+  /// produced the same allocation (throws std::logic_error on divergence).
+  /// Also checks the class and group bookkeeping and the flow slab: every
+  /// member of every live group points back at its group, groups are
+  /// non-empty, class multiplicities match their members, the slab holds
+  /// exactly active_flow_count() live flows, and no free slot is live.
+  /// Costs a full pass per recompute — for tests only.
   void set_fair_share_cross_check(bool on) { cross_check_ = on; }
 
   // --- observability -------------------------------------------------------
-  std::uint64_t flows_started() const { return flows_started_; }
-  std::uint64_t flows_completed() const { return flows_completed_; }
-  std::uint64_t flows_cancelled() const { return flows_cancelled_; }
-  /// Fair-share component passes that collapsed to a single class: the rate
-  /// is its path bottleneck divided by its multiplicity, no water-filling
-  /// loop needed (subsumes the old isolated-add/idle-removal fast paths).
-  std::uint64_t fair_share_fast_paths() const { return fast_paths_; }
-  /// Naive per-flow water-filling passes executed. The production engine
-  /// never runs these anymore; they count cross-check reference passes.
-  std::uint64_t fair_share_full_recomputes() const { return full_recomputes_; }
-  /// Coalesced zero-delay recompute events processed (one per simulated
-  /// timestamp with fair-share changes, however many flows changed).
-  std::uint64_t fair_share_batched_recomputes() const {
-    return batched_recomputes_;
-  }
-  /// Water-filling passes over a multi-class connected component.
-  std::uint64_t fair_share_component_recomputes() const {
-    return component_recomputes_;
-  }
-  /// Live flow classes (distinct contended paths with at least one flow).
-  int fair_share_classes_active() const {
-    return static_cast<int>(class_by_path_.size());
-  }
   Stats stats() const;
-  util::Bytes bytes_delivered() const { return bytes_delivered_; }
   /// Flows in flight (fair share) or holding their links (exclusive FIFO).
-  int active_flow_count() const { return static_cast<int>(live_slot_.size()); }
+  int active_flow_count() const { return live_flows_; }
   /// Total time the given rack's downlink had at least one active flow.
   util::Seconds rack_down_busy_time(RackId r) const;
 
@@ -214,10 +204,12 @@ class Network {
     kFree,         ///< on free_slots_
     kUncontended,  ///< zero-delay delivery queued; not cancellable
     kPending,      ///< kExclusiveFifo: queued on fifo_pending_
-    kLive,         ///< in flight, indexed by live_slot_[live]
+    kLive,         ///< in flight, a member of live group `live`
     kFinishing,    ///< in the completion batch being delivered
     kSuppressed,   ///< cancelled inside that batch; never delivered
   };
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// One flow-slab cell. `gen` is bumped each time the slot is freed, so a
   /// FlowId minted for an earlier occupant never matches again.
@@ -228,8 +220,10 @@ class Network {
     std::uint64_t seq = 0;       ///< start order; orders completion batches
     sim::EventId completion{};   ///< kExclusiveFifo: armed completion event
     std::uint32_t gen = 1;
-    int live = -1;               ///< index into the live arrays, or -1
-    int cls = -1;                ///< fair-share model: index into classes_
+    /// Next member of the same live group, or of the same uncontended
+    /// delivery event; kNoSlot ends the list.
+    std::uint32_t next = kNoSlot;
+    int live = -1;               ///< index of its group in the live arrays
     FlowState state = FlowState::kFree;
   };
 
@@ -241,6 +235,7 @@ class Network {
     /// This class's slot in link_classes_[links[i]].
     std::array<int, Path::kMaxLinks> link_pos{};
     int count = 0;              ///< member flows
+    int join_live = -1;         ///< live index of its newest group, or -1
     double rate = 0.0;          ///< bytes/sec per member flow
     double wf_rate = 0.0;       ///< water-filling scratch (unfrozen marker)
     util::Epoch::Ticket visit = 0;  ///< flood-fill epoch mark
@@ -254,12 +249,19 @@ class Network {
   }
   std::uint32_t allocate_slot();
   void release_slot(std::uint32_t slot);
-  /// Append the slot to the live arrays (state becomes kLive).
+  /// Append a group of one to the live arrays (state becomes kLive).
   void live_insert(std::uint32_t slot, util::Bytes remaining, int cls);
-  /// Swap-remove live index `i`, patching the moved slot's back-reference.
+  /// Add the slot to live group `i` (state becomes kLive).
+  void live_join(std::uint32_t slot, int i);
+  /// Take one member out of its live group, removing the group once empty.
+  void live_unlink(std::uint32_t slot);
+  /// Swap-remove live group `i`, patching the moved group's back-references.
+  /// Its members' own `live` and `next` are the caller's to reset.
   void live_remove(std::size_t i);
   /// Free the slot, count the flow completed and run its callback.
   void deliver(std::uint32_t slot);
+  /// Deliver the uncontended flows chained from `head`, in start order.
+  void deliver_uncontended(std::uint32_t head);
 
   // Fair-share model.
   void fair_share_add(std::uint32_t slot);
@@ -288,10 +290,11 @@ class Network {
   void fair_share_waterfill_component(const ComponentRange& comp);
   void fair_share_arm();
   void fair_share_on_completion();
-  /// Naive per-flow water-filling over the whole live set (the reference
-  /// the optimized engine must agree with); writes one rate per live index
-  /// into `out`.
-  void fair_share_naive_rates(std::vector<double>& out);
+  /// Naive per-flow water-filling over `flows`, every live flow's slot (the
+  /// reference the optimized engine must agree with); writes one rate per
+  /// entry of `flows` into `out`.
+  void fair_share_naive_rates(const std::vector<std::uint32_t>& flows,
+                              std::vector<double>& out);
   void fair_share_cross_check();
 
   // Exclusive-FIFO model.
@@ -321,12 +324,21 @@ class Network {
   // Flow slab: every started, undelivered flow holds a slot.
   std::vector<FlowSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // Live flows (fair-share in flight, or FIFO holding its links), dense and
-  // in no particular order; live_slot_[i] names the slot whose `live` is i.
-  std::vector<std::uint32_t> live_slot_;
-  std::vector<util::Bytes> live_remaining_;  ///< fair-share residual bytes
-  std::vector<int> live_cls_;                ///< fair-share class per flow
+  // Live groups (fair-share in flight, or FIFO holding its links; a FIFO
+  // flow is always a group of one), dense and in no particular order.
+  // live_head_[i] is the first member of group i, the rest follow `next`.
+  std::vector<std::uint32_t> live_head_;
+  std::vector<util::Bytes> live_remaining_;  ///< residual bytes per member
+  std::vector<int> live_cls_;                ///< fair-share class per group
+  int live_flows_ = 0;                       ///< members of all live groups
   std::deque<std::uint32_t> fifo_pending_;  ///< kExclusiveFifo wait queue
+
+  // The uncontended delivery event transfers may still join: its first and
+  // last flow, and the kernel's events_scheduled() right after it was
+  // scheduled. open_head_ is kNoSlot once that event has fired.
+  std::uint32_t open_head_ = kNoSlot;
+  std::uint32_t open_tail_ = kNoSlot;
+  std::uint64_t open_mark_ = 0;
 
   // Fair-share bookkeeping.
   util::Seconds last_advance_ = 0.0;
@@ -346,10 +358,11 @@ class Network {
   bool recompute_scheduled_ = false;
 
   // The completion batch being collected and delivered, as (start order,
-  // slot) pairs sorted by start order. Its undelivered flows are kFinishing,
-  // so cancel() of one (a hedged read cancelling a loser that finished in
-  // the winner's timestamp batch) marks it kSuppressed instead of failing.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> batch_;
+  // slot, class) triples sorted by start order. Its undelivered flows are
+  // kFinishing, so cancel() of one (a hedged read cancelling a loser that
+  // finished in the winner's timestamp batch) marks it kSuppressed instead
+  // of failing.
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, int>> batch_;
 
   // Flood-fill + water-filling scratch, reused across recomputes. Residuals
   // and counts are only read for links seeded by the current component, so
@@ -371,6 +384,9 @@ class Network {
   std::uint64_t full_recomputes_ = 0;
   std::uint64_t batched_recomputes_ = 0;
   std::uint64_t component_recomputes_ = 0;
+  std::uint64_t live_groups_started_ = 0;
+  std::uint64_t delivery_events_ = 0;
+  std::uint64_t waterfill_subtractions_ = 0;
   bool cross_check_ = false;
   util::Bytes bytes_delivered_ = 0.0;
 };

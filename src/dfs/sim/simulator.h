@@ -78,6 +78,12 @@ class Simulator {
   /// heap entries are skipped on pop and were already uncounted).
   std::size_t events_pending() const { return pending_; }
 
+  /// Number of events scheduled so far, cancelled or not. An unchanged
+  /// count means the last event scheduled is still the most recent one:
+  /// nothing has been queued behind it (net::Network's shared uncontended
+  /// deliveries rely on this).
+  std::uint64_t events_scheduled() const { return next_seq_ - 1; }
+
  private:
   struct Event {
     util::Seconds time;

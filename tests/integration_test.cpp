@@ -294,7 +294,7 @@ TEST_P(HedgedCrossCheck, MatchesTheUncheckedRun) {
     out.net = net_fingerprint(sim.network().stats());
     out.losers_cancelled = r.hedge.losers_cancelled;
     out.transient_failures = r.hedge.transient_failures;
-    out.reference_passes = sim.network().fair_share_full_recomputes();
+    out.reference_passes = sim.network().stats().full_recomputes;
     return out;
   };
   const Outcome checked = run(true);
@@ -331,7 +331,7 @@ TEST(Integration, FairShareCrossCheckHoldsOnFaultyClusterRun) {
     std::ostringstream os;
     cluster::write_cluster_jsonl(os, result);
     mapreduce::write_attempt_csv(os, result.run);
-    reference_passes = sim.network().fair_share_full_recomputes();
+    reference_passes = sim.network().stats().full_recomputes;
     return os.str() + net_fingerprint(sim.network().stats());
   };
   std::uint64_t checked_passes = 0, plain_passes = 0;

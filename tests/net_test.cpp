@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "dfs/net/network.h"
@@ -77,8 +78,8 @@ TEST(Network, SingleTransferCompletesAtIsolatedTime) {
   net.transfer(0, 2, 1000.0, [&] { done = f.sim.now(); });
   f.sim.run();
   EXPECT_DOUBLE_EQ(done, 10.0);
-  EXPECT_EQ(net.flows_completed(), 1u);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 1000.0);
+  EXPECT_EQ(net.stats().flows_completed, 1u);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 1000.0);
 }
 
 TEST(Network, FairShareTwoFlowsSameRackDownlinkDouble) {
@@ -141,7 +142,7 @@ TEST(Network, SameNodeTransferInstant) {
   net.transfer(1, 1, 12345.0, [&] { done = f.sim.now(); });
   f.sim.run();
   EXPECT_DOUBLE_EQ(done, 0.0);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 12345.0);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 12345.0);
 }
 
 TEST(Network, ZeroByteTransferCompletes) {
@@ -190,7 +191,7 @@ TEST(Network, ManyFlowsConservation) {
   }
   f.sim.run();
   EXPECT_EQ(done, 50);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 5000.0);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 5000.0);
   // 5000 bytes through a 100 B/s rack downlink: exactly 50 s busy.
   EXPECT_NEAR(net.rack_down_busy_time(1), 50.0, 1e-6);
 }
@@ -298,8 +299,8 @@ TEST_P(ContentionParamTest, RandomFlowsConserveBytesAndRespectPhysics) {
   }
   sim.run();
 
-  EXPECT_EQ(net.flows_completed(), 200u);
-  EXPECT_NEAR(net.bytes_delivered(), total, 1e-6);
+  EXPECT_EQ(net.stats().flows_completed, 200u);
+  EXPECT_NEAR(net.stats().bytes_delivered, total, 1e-6);
   for (const auto& p : probes) {
     ASSERT_GE(p.end, 0.0) << "flow never completed";
     // No flow can beat the uncontended bottleneck transfer time.
@@ -369,11 +370,11 @@ TEST(Network, FairShareFastPathsMatchFullRecomputeUnderChurn) {
   sim.run();
 
   EXPECT_EQ(net.active_flow_count(), 0);
-  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.flows_cancelled(),
-            net.flows_started());
+  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.stats().flows_cancelled,
+            net.stats().flows_started);
   // The whole point of the cross-check run: both strategies actually ran.
-  EXPECT_GT(net.fair_share_fast_paths(), 0u);
-  EXPECT_GT(net.fair_share_full_recomputes(), 0u);
+  EXPECT_GT(net.stats().fast_paths, 0u);
+  EXPECT_GT(net.stats().full_recomputes, 0u);
 }
 
 // --- batched / aggregated fair-share engine vs the naive per-flow pass -------
@@ -418,14 +419,14 @@ TEST(Network, FairShareCancelHeavyChurnMatchesNaive) {
   sim.run();
 
   EXPECT_EQ(net.active_flow_count(), 0);
-  EXPECT_GT(net.flows_cancelled(), 0u);
-  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.flows_cancelled(),
-            net.flows_started());
+  EXPECT_GT(net.stats().flows_cancelled, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.stats().flows_cancelled,
+            net.stats().flows_started);
   // Both engines ran: the naive reference pass (full recomputes) verified
   // every batched decision, and multi-class components were water-filled.
-  EXPECT_GT(net.fair_share_full_recomputes(), 0u);
-  EXPECT_GT(net.fair_share_component_recomputes(), 0u);
-  EXPECT_EQ(net.fair_share_classes_active(), 0);
+  EXPECT_GT(net.stats().full_recomputes, 0u);
+  EXPECT_GT(net.stats().component_recomputes, 0u);
+  EXPECT_EQ(net.stats().classes_active, 0);
 }
 
 TEST(Network, BurstWavesMatchFrozenPerFlowEngine) {
@@ -588,10 +589,10 @@ TEST(Network, FairShareSameTimestampBurstsCoalesce) {
     // identical paths [rack0 up, rack1 down] form a single class, so the
     // component pass took the single-class fast path.
     sim.schedule_in(0.0, [&net] {
-      EXPECT_EQ(net.fair_share_batched_recomputes(), 1u);
-      EXPECT_EQ(net.fair_share_classes_active(), 1);
-      EXPECT_EQ(net.fair_share_fast_paths(), 1u);
-      EXPECT_EQ(net.fair_share_component_recomputes(), 0u);
+      EXPECT_EQ(net.stats().batched_recomputes, 1u);
+      EXPECT_EQ(net.stats().classes_active, 1);
+      EXPECT_EQ(net.stats().fast_paths, 1u);
+      EXPECT_EQ(net.stats().component_recomputes, 0u);
     });
   });
   sim.run();
@@ -632,9 +633,9 @@ TEST(Network, FairShareSingleFlowComponentsUseFastPath) {
   EXPECT_EQ(done, 3);
   // Each flow ran uncontended at 100 B/s for its full 1000 bytes.
   EXPECT_NEAR(sim.now(), 12.0, 1e-6);
-  EXPECT_EQ(net.fair_share_component_recomputes(), 0u);
-  EXPECT_GE(net.fair_share_fast_paths(), 3u);
-  EXPECT_EQ(net.fair_share_classes_active(), 0);
+  EXPECT_EQ(net.stats().component_recomputes, 0u);
+  EXPECT_GE(net.stats().fast_paths, 3u);
+  EXPECT_EQ(net.stats().classes_active, 0);
 }
 
 TEST(Network, CompletionBatchIsDeliveredInStartOrder) {
@@ -657,6 +658,189 @@ TEST(Network, CompletionBatchIsDeliveredInStartOrder) {
   }
   f.sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  // Each rack pair's three flows shared one live group, so the batch came
+  // from two groups and their members were interleaved by start order.
+  EXPECT_EQ(net.stats().live_groups_started, 2u);
+}
+
+// --- live groups and shared uncontended deliveries --------------------------
+
+TEST(Network, GroupJoinNeedsSameClassAndResidual) {
+  // A flow joins its class's newest live group only if the group's residual
+  // equals the flow's size: same class, same size, same instant.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  net.set_fair_share_cross_check(true);
+  std::vector<double> done(5, -1.0);
+  const auto at = [&done, &f](int i) {
+    return [&done, &f, i] { done[static_cast<std::size_t>(i)] = f.sim.now(); };
+  };
+  net.transfer(0, 2, 1000.0, at(0));
+  net.transfer(1, 3, 1000.0, at(1));  // same class and size: joins
+  EXPECT_EQ(net.stats().live_groups_started, 1u);
+  net.transfer(0, 3, 600.0, at(2));  // same class, other size: refused
+  EXPECT_EQ(net.stats().live_groups_started, 2u);
+  net.transfer(2, 0, 1000.0, at(3));  // other class (rack 1 -> 0): refused
+  EXPECT_EQ(net.stats().live_groups_started, 3u);
+  EXPECT_EQ(net.active_flow_count(), 4);  // flows, not groups
+  f.sim.schedule_in(1.0, [&] {
+    // Same class and size as flow 3, but 1 s later its residual is 900.
+    net.transfer(3, 1, 1000.0, at(4));
+    EXPECT_EQ(net.stats().live_groups_started, 4u);
+  });
+  f.sim.run();
+  // Rack 0 -> 1 is shared three ways at 100/3 B/s: the 600-byte flow ends
+  // at 18 s, the other two then take 50 B/s for their last 400 bytes.
+  EXPECT_NEAR(done[2], 18.0, 1e-6);
+  EXPECT_NEAR(done[0], 26.0, 1e-6);
+  EXPECT_EQ(done[0], done[1]);
+  // Rack 1 -> 0: flow 3 alone for 1 s, then two ways at 50 B/s.
+  EXPECT_NEAR(done[3], 19.0, 1e-6);
+  EXPECT_NEAR(done[4], 20.0, 1e-6);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
+TEST(Network, CancelGroupHeadMiddleAndTail) {
+  // Four flows in one live group (newest first: 3, 2, 1, 0). Cancelling the
+  // head, a middle member and the tail leaves flow 2 alone; each handle is
+  // refused once cancelled, and the survivor finishes when its residual
+  // says so.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  net.set_fair_share_cross_check(true);
+  std::vector<FlowId> ids;
+  int fired = 0;
+  double survivor_done = -1.0;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(net.transfer(0, 2, 1000.0, [&, i] {
+      ++fired;
+      if (i == 2) survivor_done = f.sim.now();
+    }));
+  }
+  EXPECT_EQ(net.stats().live_groups_started, 1u);
+  const auto cancel_at = [&](double t, int i, int left) {
+    f.sim.schedule_at(t, [&, i, left] {
+      EXPECT_TRUE(net.cancel(ids[static_cast<std::size_t>(i)]));
+      EXPECT_FALSE(net.cancel(ids[static_cast<std::size_t>(i)]));
+      EXPECT_EQ(net.active_flow_count(), left);
+    });
+  };
+  cancel_at(2.0, 3, 3);  // head
+  cancel_at(4.0, 1, 2);  // middle
+  cancel_at(6.0, 0, 1);  // tail
+  f.sim.run();
+  // 25 B/s for 2 s, 100/3 B/s for 2 s, 50 B/s for 2 s, then 100 B/s.
+  const double left = 1000.0 - 50.0 - 200.0 / 3.0 - 100.0;
+  EXPECT_NEAR(survivor_done, 6.0 + left / 100.0, 1e-6);
+  EXPECT_EQ(fired, 1);
+  for (const FlowId id : ids) EXPECT_FALSE(net.cancel(id));
+  const Network::Stats s = net.stats();
+  EXPECT_EQ(s.flows_cancelled, 3u);
+  EXPECT_EQ(s.flows_completed, 1u);
+  EXPECT_EQ(s.live_groups_started, 1u);
+}
+
+TEST(Network, GroupedLoserCancelledInItsBatchCountsCancelled) {
+  // A hedged read's winner and loser in one live group finish in one batch;
+  // the winner's callback cancels the loser before its delivery, so the
+  // loser is suppressed and counts as cancelled, not completed.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  net.set_fair_share_cross_check(true);
+  FlowId loser = 0;
+  bool loser_fired = false;
+  bool cancelled = false;
+  net.transfer(0, 2, 1000.0, [&] {
+    cancelled = net.cancel(loser);
+    EXPECT_FALSE(net.cancel(loser));
+  });
+  loser = net.transfer(1, 3, 1000.0, [&] { loser_fired = true; });
+  EXPECT_EQ(net.stats().live_groups_started, 1u);
+  f.sim.run();
+  EXPECT_TRUE(cancelled);
+  EXPECT_FALSE(loser_fired);
+  EXPECT_FALSE(net.cancel(loser));
+  const Network::Stats s = net.stats();
+  EXPECT_EQ(s.flows_completed, 1u);
+  EXPECT_EQ(s.flows_cancelled, 1u);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
+TEST(Network, SharedUncontendedDeliveryKeepsEventOrder) {
+  // Uncontended transfers share one zero-delay delivery event only while it
+  // is the last event scheduled. X, scheduled between A and B, still runs
+  // between them; C joins B's event, and so does D, which A's callback
+  // starts while B's event is still the newest one queued.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  std::string order;
+  net.transfer(1, 1, 10.0, [&] {
+    order += 'A';
+    net.transfer(0, 1, 10.0, [&] { order += 'D'; });
+  });
+  f.sim.schedule_now([&] { order += 'X'; });
+  net.transfer(0, 1, 10.0, [&] { order += 'B'; });  // in-rack: uncontended
+  net.transfer(0, 2, 0.0, [&] { order += 'C'; });   // zero bytes
+  f.sim.run();
+  EXPECT_EQ(order, "AXBCD");
+  EXPECT_EQ(net.stats().delivery_events, 2u);
+  EXPECT_EQ(net.stats().flows_completed, 4u);
+  EXPECT_EQ(f.sim.events_executed(), 3u);
+}
+
+TEST(Network, UncontendedTransferAfterClearGetsItsOwnEvent) {
+  // Simulator::clear() drops the open delivery event without running it; a
+  // later uncontended transfer must not join the dropped event.
+  Fixture f;
+  Network net(f.sim, f.topo, f.links);
+  bool dropped = false;
+  bool done = false;
+  net.transfer(1, 1, 10.0, [&] { dropped = true; });
+  f.sim.clear();
+  net.transfer(1, 1, 10.0, [&] { done = true; });
+  f.sim.run();
+  EXPECT_FALSE(dropped);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(net.stats().delivery_events, 2u);
+}
+
+TEST(Network, ShuffleFanOutWorkCounters) {
+  // Two maps in rack 0 finish at one instant and each sends one 4 MB
+  // partition to each of 30 reducers spread over 4 racks (paper links).
+  // Their cross-rack partitions form one live group per destination rack,
+  // and their in-rack partitions share two delivery events: one before the
+  // first cross-rack flow schedules the recompute, one after. A third map
+  // in rack 2 fans out later with another size: three more groups, and its
+  // first partition is cross-rack, so one more delivery event. The counters
+  // are functions of the workload alone, so they are pinned exactly.
+  sim::Simulator sim;
+  const Topology topo(4, 10);
+  const LinkConfig links;
+  Network net(sim, topo, links);
+  net.set_fair_share_cross_check(true);
+  std::vector<NodeId> reducers;
+  for (int i = 0; i < 30; ++i) {
+    reducers.push_back(static_cast<NodeId>((7 * i + 3) % 40));
+  }
+  int done = 0;
+  const auto fan_out = [&](NodeId src, double size) {
+    for (const NodeId r : reducers) net.transfer(src, r, size, [&] { ++done; });
+  };
+  fan_out(0, 4e6);
+  fan_out(5, 4e6);
+  sim.schedule_in(0.01, [&] { fan_out(25, 3e6); });
+  sim.run();
+
+  EXPECT_EQ(done, 90);
+  const Network::Stats s = net.stats();
+  EXPECT_EQ(s.flows_started, 90u);
+  EXPECT_EQ(s.live_groups_started, 6u);
+  EXPECT_EQ(s.delivery_events, 3u);
+  EXPECT_EQ(s.waterfill_subtractions, 132u);
+  EXPECT_EQ(s.batched_recomputes, 4u);
+  EXPECT_EQ(s.component_recomputes, 3u);
+  EXPECT_EQ(s.fast_paths, 0u);
+  EXPECT_EQ(sim.events_executed(), 10u);
 }
 
 // --- cancel: idempotence and same-batch races --------------------------------
@@ -673,7 +857,7 @@ TEST(Network, CancelIsIdempotentAcrossLifecycle) {
   });
   f.sim.run();
   EXPECT_FALSE(done);
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
 
   // After completion: cancel must refuse (the flow already delivered).
   bool done2 = false;
@@ -682,7 +866,7 @@ TEST(Network, CancelIsIdempotentAcrossLifecycle) {
   EXPECT_TRUE(done2);
   EXPECT_FALSE(net.cancel(id2));
   EXPECT_FALSE(net.cancel(id2));
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
 }
 
 TEST(Network, CancelFromSameBatchCompletionSuppressesDelivery) {
@@ -717,8 +901,8 @@ TEST(Network, CancelFromSameBatchCompletionSuppressesDelivery) {
   EXPECT_NEAR(batch_at, 20.0, 1e-6);
   EXPECT_EQ(fired, 1);
   EXPECT_NE(a_suppressed_b, b_suppressed_a);  // exactly one cancel landed
-  EXPECT_EQ(net.flows_completed(), 1u);
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_completed, 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
@@ -737,8 +921,8 @@ TEST(Network, CancelAfterDeliveryFromLaterBatchReturnsFalse) {
   f.sim.run();
   EXPECT_TRUE(early_done);
   EXPECT_FALSE(late_saw_cancel);
-  EXPECT_EQ(net.flows_completed(), 2u);
-  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_EQ(net.stats().flows_completed, 2u);
+  EXPECT_EQ(net.stats().flows_cancelled, 0u);
 }
 
 // --- handles: stale and uncontended flows -------------------------------------
@@ -764,8 +948,8 @@ TEST(Network, StaleHandleOfRecycledFlowCannotCancelItsSuccessor) {
   f.sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(f.sim.now(), 20.0, 1e-6);
-  EXPECT_EQ(net.flows_completed(), 2u);
-  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_EQ(net.stats().flows_completed, 2u);
+  EXPECT_EQ(net.stats().flows_cancelled, 0u);
   EXPECT_FALSE(net.cancel(new_id));
 }
 
@@ -784,8 +968,8 @@ TEST(Network, CancelOfUncontendedFlowRefusesAndItStillCompletes) {
   EXPECT_FALSE(net.cancel(empty));
   f.sim.run();
   EXPECT_EQ(done, 2);
-  EXPECT_EQ(net.flows_completed(), 2u);
-  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_EQ(net.stats().flows_completed, 2u);
+  EXPECT_EQ(net.stats().flows_cancelled, 0u);
   EXPECT_FALSE(net.cancel(local));
 }
 

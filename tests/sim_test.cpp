@@ -160,6 +160,22 @@ TEST(Simulator, EventsPendingZeroAfterClear) {
   EXPECT_EQ(sim.events_pending(), 0u);
 }
 
+TEST(Simulator, EventsScheduledCountsEveryScheduleCall) {
+  Simulator sim;
+  EXPECT_EQ(sim.events_scheduled(), 0u);
+  const EventId a = sim.schedule_in(1.0, [] {});
+  sim.schedule_now([] {});
+  EXPECT_EQ(sim.events_scheduled(), 2u);
+  // Cancelling and running events leave the count alone; only new events
+  // move it, including ones scheduled from inside a callback.
+  sim.cancel(a);
+  EXPECT_EQ(sim.events_scheduled(), 2u);
+  sim.schedule_in(2.0, [&sim] { sim.schedule_now([] {}); });
+  sim.run();
+  EXPECT_EQ(sim.events_scheduled(), 4u);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
 TEST(Simulator, StaleHandleDoesNotCancelReusedSlot) {
   Simulator sim;
   const EventId a = sim.schedule_in(1.0, [] {});
