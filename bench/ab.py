@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired A/B comparison of two benchmark binaries.
 
-    bench/ab.py PARENT_BIN CHANGE_BIN [--pairs N] [--spec BENCHMARK.json] -- ARGS
+    bench/ab.py PARENT_BIN CHANGE_BIN [--pairs N] -- ARGS
 
 Runs `PARENT_BIN ARGS` and `CHANGE_BIN ARGS` N times each, alternating which
 side goes first in each pair so that drift of the host's speed lands on both
@@ -14,7 +14,8 @@ quartiles, the median of the per-pair ratios change/parent with a 95%
 bootstrap interval (fixed seed, so a rerun on the same numbers prints the
 same interval), and the number of pairs the change won. A pair is won when
 the change is strictly better in the metric's direction, taken from the
-spec's "better" field ("lower" when the metric is not listed). The last line
+"better" field of the repository's BENCHMARK.json; a metric that file does
+not list stops the comparison (exit 1). The last line
 of output is the same summary as one JSON object, with every run's value in
 pair order under "parent_runs" and "change_runs".
 
@@ -35,6 +36,7 @@ from pathlib import Path
 
 BOOTSTRAP_RESAMPLES = 10000
 BOOTSTRAP_SEED = 1
+SPEC_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(binary, args):
@@ -73,13 +75,14 @@ def bootstrap_median_interval(ratios):
     return lo, hi
 
 
-def load_directions(spec_path):
-    """{metric: "lower"|"higher"} from a BENCHMARK.json, or {} without one."""
-    if spec_path is None or not spec_path.is_file():
-        return {}
-    spec = json.loads(spec_path.read_text())
-    return {m["name"]: m["better"]
-            for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+def load_directions():
+    """{metric: "lower"|"higher"} from the repository's BENCHMARK.json."""
+    try:
+        spec = json.loads(SPEC_PATH.read_text())
+        return {m["name"]: m["better"]
+                for key in ("end_to_end", "per_layer") for m in spec[key]}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        sys.exit(f"ab: cannot read metric directions from {SPEC_PATH} ({e})")
 
 
 def summarize(parent_runs, change_runs, directions):
@@ -89,7 +92,9 @@ def summarize(parent_runs, change_runs, directions):
     for name in names:
         parent = [r[name] for r in parent_runs]
         change = [r[name] for r in change_runs]
-        better = directions.get(name, "lower")
+        better = directions.get(name)
+        if better not in ("lower", "higher"):
+            sys.exit(f"ab: {SPEC_PATH} gives no direction for {name}")
         won = sum(1 for p, c in zip(parent, change)
                   if (c < p if better == "lower" else c > p))
         row = {
@@ -134,19 +139,15 @@ def main():
         argv, bench_args = argv[:split], argv[split + 1:]
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
-        usage="%(prog)s PARENT_BIN CHANGE_BIN [--pairs N] [--spec PATH] "
-              "-- ARGS")
+        usage="%(prog)s PARENT_BIN CHANGE_BIN [--pairs N] -- ARGS")
     parser.add_argument("parent_bin")
     parser.add_argument("change_bin")
     parser.add_argument("--pairs", type=int, default=10,
                         help="paired runs per side (default 10)")
-    parser.add_argument("--spec", type=Path,
-                        default=Path(__file__).resolve().parent.parent /
-                        "BENCHMARK.json",
-                        help="BENCHMARK.json giving each metric's direction")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    directions = load_directions()
 
     parent_runs, change_runs = [], []
     for i in range(args.pairs):
@@ -159,7 +160,7 @@ def main():
                 change_runs.append(run_once(args.change_bin, bench_args))
         print(f"ab: pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
-    summary = summarize(parent_runs, change_runs, load_directions(args.spec))
+    summary = summarize(parent_runs, change_runs, directions)
     print_table(summary)
     print(json.dumps(summary, sort_keys=True))
 

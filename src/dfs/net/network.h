@@ -254,8 +254,13 @@ class Network {
   /// Add the slot to live group `i` (state becomes kLive).
   void live_join(std::uint32_t slot, int i);
   /// Take one member out of its live group, removing the group once empty.
+  /// Walks the member list from the head, so it costs O(group size); a
+  /// group is the same-size flows of one class started at one instant (in
+  /// a shuffle, reducers per rack × maps finishing then), and cancels of
+  /// members deep in large groups are rare (docs/performance.md).
   void live_unlink(std::uint32_t slot);
-  /// Swap-remove live group `i`, patching the moved group's back-references.
+  /// Swap-remove live group `i`, patching the moved group's back-references
+  /// (O(its size)).
   /// Its members' own `live` and `next` are the caller's to reset.
   void live_remove(std::size_t i);
   /// Free the slot, count the flow completed and run its callback.

@@ -3,7 +3,8 @@
 # their runs to a shared file and print perfbench-style result lines; the
 # change stub is 20% faster on run_s and worse on peak_rss_mb. Checks the
 # alternating run order, the pairs won, the median ratio, and that a run
-# reporting "correct": false stops the comparison.
+# reporting "correct": false or a metric BENCHMARK.json does not list stops
+# the comparison.
 #
 # Usage: ab_smoke.sh <repo_root>
 set -eu
@@ -13,7 +14,7 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 stub() {
-  # stub <name> <run_s base> <peak_rss_mb> <correct>
+  # stub <name> <run_s base> <peak_rss_mb> <correct> [<name of the rss metric>]
   cat > "$WORK/$1" <<EOF
 #!/usr/bin/env python3
 import json, sys
@@ -25,16 +26,17 @@ with open(log, "a+") as f:
 print("noise before the result line")
 print(json.dumps({"correct": $4, "attempted": 1, "failed": 0, "metrics": {
     "run_s": {"value": $2 + 0.1 * (n % 3), "unit": "s"},
-    "peak_rss_mb": {"value": $3, "unit": "MiB"}}}))
+    "${5:-peak_rss_mb}": {"value": $3, "unit": "MiB"}}}))
 EOF
   chmod +x "$WORK/$1"
 }
 stub parent 10.0 40.0 True
 stub change 8.0 41.0 True
 stub broken 8.0 41.0 False
+stub unlisted 8.0 41.0 True rss_mb
 
 python3 "$ROOT/bench/ab.py" "$WORK/parent" "$WORK/change" --pairs 4 \
-  --spec "$ROOT/BENCHMARK.json" -- "$WORK/log" > "$WORK/out" 2> /dev/null
+  -- "$WORK/log" > "$WORK/out" 2> /dev/null
 
 order=$(cat "$WORK/log")
 if [ "$order" != "parent change change parent parent change change parent " ]; then
@@ -58,6 +60,11 @@ assert [round(v, 6) for v in run["change_runs"]] == [8.1, 8.2, 8.2, 8.0], run
 if python3 "$ROOT/bench/ab.py" "$WORK/parent" "$WORK/broken" --pairs 1 \
     -- "$WORK/log2" > /dev/null 2>&1; then
   echo "ab_smoke: an incorrect run did not fail the comparison" >&2
+  exit 1
+fi
+if python3 "$ROOT/bench/ab.py" "$WORK/unlisted" "$WORK/unlisted" --pairs 1 \
+    -- "$WORK/log3" > /dev/null 2>&1; then
+  echo "ab_smoke: a metric without a direction did not fail the comparison" >&2
   exit 1
 fi
 echo "ab_smoke: bench/ab.py alternates, pairs and summarizes as expected"
