@@ -16,7 +16,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  int seeds = 15;
+  util::FlagTable flags("ablation_affinity",
+                        "stripe-affinity degraded placement ablation");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Stripe-affinity degraded placement, default cluster, "
                "single-node failure,\nrack-aware source selection, "

@@ -15,7 +15,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  int seeds = 15;
+  util::FlagTable flags("ablation_contention",
+                        "link-contention discipline ablation");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Ablation: exclusive-FIFO (paper's NodeTree) vs max-min fair "
                "share, default cluster, single-node failure, "
             << seeds << " samples\n";

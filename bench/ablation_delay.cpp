@@ -17,7 +17,10 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_delay", "delay scheduling baseline");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Delay scheduling vs locality-first vs degraded-first, "
             << seeds << " samples\n"

@@ -76,7 +76,10 @@ void run_case(const std::string& title, const mapreduce::ClusterConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  int seeds = 15;
+  util::FlagTable flags("ablation_edf_knobs", "EDF heuristics in isolation");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Ablation: EDF heuristic knobs, single-node failure, " << seeds
             << " samples per cell\n";
 

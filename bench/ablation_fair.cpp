@@ -15,7 +15,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_fair",
+                        "fair job scheduling with degraded-first maps");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "FIFO vs fair job scheduling, big job (1440 blocks) + small "
                "job (90 blocks) submitted 10 s later,\nsingle-node failure, "

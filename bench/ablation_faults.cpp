@@ -5,7 +5,9 @@
 // robustness: attempt-outcome counts, heartbeat-expiry detection latency,
 // and the latency percentiles under re-execution load.
 //
-//   ablation_faults [--seeds N]   (default 3; DFS_BENCH_SEEDS honored)
+//   ablation_faults [--seeds N]   (default 3)
+
+#include <iostream>
 
 #include "common.h"
 
@@ -15,7 +17,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 3);
+  int seeds = 3;
+  util::FlagTable flags("ablation_faults",
+                        "schedulers under the compute-failure layer");
+  flags.integer("seeds", &seeds, "[1,inf)", "runs per scheduler");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   cluster::ClusterOptions base;
   base.horizon = 1800.0;  // half an hour keeps the sweep quick

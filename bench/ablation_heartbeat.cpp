@@ -14,7 +14,10 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_heartbeat", "heartbeat interval sensitivity");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Ablation: heartbeat interval, default cluster, single-node "
                "failure, "
             << seeds << " samples\n";

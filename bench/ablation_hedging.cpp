@@ -6,7 +6,7 @@
 // exponential service times — the fork-join lower bound the hedging
 // literature prices (n, k) reads with).
 //
-//   ablation_hedging [--seeds N]   (default 3; DFS_BENCH_SEEDS honored)
+//   ablation_hedging [--seeds N]   (default 3)
 //
 // The sweep holds the offered load fixed while raising r, so the table
 // exposes the paper-adjacent robustness claim directly: under straggler
@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <optional>
 
 #include "dfs/cluster/simulation.h"
@@ -76,7 +77,11 @@ double order_stat_percentile(int n, int k, double mean, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 3);
+  int seeds = 3;
+  util::FlagTable flags("ablation_hedging",
+                        "hedged degraded reads vs stragglers");
+  flags.integer("seeds", &seeds, "[1,inf)", "runs per cell");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   // --- sweep: redundancy r x straggler severity x scheduler -----------------
   // Moderate load: at the defaults the rack links saturate and queueing

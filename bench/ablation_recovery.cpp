@@ -42,7 +42,10 @@ mapreduce::JobInput make_job(std::shared_ptr<const ec::ErasureCode> code,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  int seeds = 15;
+  util::FlagTable flags("ablation_recovery", "repair-efficient code families");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Ablation: recovery-aware planning across code families, "
                "default cluster, single-node failure, "

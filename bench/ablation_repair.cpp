@@ -17,7 +17,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_repair",
+                        "MapReduce during background repair");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "MapReduce + background repair (concurrency 4), single-node "
                "failure, "

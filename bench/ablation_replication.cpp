@@ -47,7 +47,11 @@ mapreduce::JobInput make_rs(const net::Topology& topo, util::Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_replication",
+                        "replication vs erasure coding");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Replication vs erasure coding, 1440-block job, single-node "
                "failure, "

@@ -16,7 +16,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  int seeds = 15;
+  util::FlagTable flags("ablation_sources",
+                        "degraded-read source selection ablation");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Ablation: degraded-read source selection (random-k vs "
                "prefer-same-rack), default cluster,\nsingle-node failure, "
             << seeds << " samples\n";

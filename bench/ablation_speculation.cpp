@@ -16,7 +16,11 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  int seeds = 10;
+  util::FlagTable flags("ablation_speculation",
+                        "speculative execution meets degraded tasks");
+  flags.integer("seeds", &seeds, "[1,inf)", "samples per configuration");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Speculative execution x scheduling, single-node failure, "
             << seeds << " samples\n";
 

@@ -20,10 +20,9 @@
 //
 // Usage: ablation_tenancy [--quick] [--seeds N] [--jobs N]
 //   --quick shrinks the horizon and seed count to CI size; the table
-//   layout is identical, only noisier. --seeds / DFS_BENCH_SEEDS override
-//   the per-cell sample count either way.
+//   layout is identical, only noisier. --seeds overrides the per-cell
+//   sample count either way.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,18 +51,22 @@ double mean_of(const std::vector<double>& v) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const int seeds = bench::seeds_from_args(argc, argv, quick ? 2 : 5);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  int seeds = 0, jobs = runner::default_jobs();
+  util::FlagTable flags("ablation_tenancy",
+                        "policy x heterogeneity x tenancy matrix");
+  flags.toggle("quick", &quick, "CI-sized horizon and seed count");
+  flags.integer("seeds", &seeds, "[1,inf)",
+                "runs per cell (default 5, quick 2)");
+  flags.integer("jobs", &jobs, "[1,inf)", "seed-sweep threads (default: all)");
+  if (const auto status = flags.parse(argc, argv)) return *status;
+  if (seeds == 0) seeds = quick ? 2 : 5;
 
   // Moderate open load so the admission queue is non-trivial but stable:
   // jobs overlap and queue behind each other, which is the regime where
   // admission order matters at all. The bimodal profile doubles service
   // time on half the slaves — a coarse but honest heterogeneity model
   // (cf. the per-task straggler jitter, which is random per attempt; this
-  // is a fixed per-slave property the speed-aware speculation can see).
+  // is a fixed per-slave property).
   cluster::ClusterOptions base;
   base.horizon = quick ? 1200.0 : 3600.0;
   base.warmup = quick ? 200.0 : 600.0;

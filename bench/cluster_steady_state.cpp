@@ -4,8 +4,9 @@
 // and the table reports the latency percentiles and degraded-task share the
 // snapshot experiments (fig7_simulation) cannot measure.
 //
-//   cluster_steady_state [--seeds N] [--jobs N]
-//   (default 5 seeds; DFS_BENCH_SEEDS / DFS_BENCH_JOBS honored)
+//   cluster_steady_state [--seeds N] [--jobs N]   (default 5 seeds)
+
+#include <iostream>
 
 #include "common.h"
 
@@ -14,8 +15,12 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 5);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  int seeds = 5, jobs = runner::default_jobs();
+  util::FlagTable flags("cluster_steady_state",
+                        "LF vs DF vs EDF on the online cluster");
+  flags.integer("seeds", &seeds, "[1,inf)", "runs per scheduler");
+  flags.integer("jobs", &jobs, "[1,inf)", "seed-sweep threads (default: all)");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   util::Table table({"scheduler", "p50(s)", "p95(s)", "p99(s)", "mean(s)",
                      "degraded", "failures", "net util"});

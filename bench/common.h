@@ -2,59 +2,22 @@
 
 // Shared helpers for the figure-reproduction harnesses.
 
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "dfs/core/scheduler.h"
 #include "dfs/mapreduce/simulation.h"
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/storage/failure.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/stats.h"
 #include "dfs/util/table.h"
 #include "dfs/workload/scenarios.h"
 
 namespace dfs::bench {
 
-/// Resolves a positive-integer bench flag: "--<name> N" on the command line,
-/// else the environment variable `env`, else `def`. Exits with a usage error
-/// on 0 / negative / non-numeric input (runner::parse_jobs's strict rule),
-/// matching the tools.
-inline int positive_flag(int argc, char** argv, const char* name,
-                         const char* env, int def) {
-  const std::string flag = std::string("--") + name;
-  std::string source = flag;
-  const char* text = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) text = argv[i + 1];
-  }
-  if (text == nullptr && (text = std::getenv(env)) != nullptr) source = env;
-  if (text == nullptr) return def;
-  const auto value = runner::parse_jobs(text);
-  if (!value) {
-    std::cerr << "bench: " << source << " must be a positive integer\n";
-    std::exit(2);
-  }
-  return *value;
-}
-
-/// Parses "--seeds N" (defaulting to `def`, the paper uses 30 samples per
-/// boxplot) so CI and quick local runs can shrink the sweep.
-inline int seeds_from_args(int argc, char** argv, int def = 30) {
-  return positive_flag(argc, argv, "seeds", "DFS_BENCH_SEEDS", def);
-}
-
-/// Parses "--jobs N" for the sweep harnesses (default: every hardware
-/// thread; DFS_BENCH_JOBS honored like DFS_BENCH_SEEDS).
-inline int jobs_from_args(int argc, char** argv) {
-  return positive_flag(argc, argv, "jobs", "DFS_BENCH_JOBS",
-                       runner::default_jobs());
-}
-
-/// Process-wide sweep pool, sized by the first call (pass the value from
-/// jobs_from_args). Later calls reuse the same pool whatever they pass.
+/// Process-wide sweep pool, sized by the first call (pass the harness's
+/// --jobs value). Later calls reuse the same pool whatever they pass.
 inline runner::ThreadPool& sweep_pool(int jobs) {
   static runner::ThreadPool pool(jobs);
   return pool;

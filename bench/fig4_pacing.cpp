@@ -62,9 +62,10 @@ int main() {
     if (task.kind == mapreduce::MapTaskKind::kDegraded && di < 3) {
       degraded_positions[di++] = static_cast<int>(i) + 1;
     }
-    t.add_row({std::to_string(i + 1),
-               "B" + std::to_string(task.block.stripe) +
-                   std::to_string(task.block.index),
+    std::string block = "B";
+    block += std::to_string(task.block.stripe);
+    block += std::to_string(task.block.index);
+    t.add_row({std::to_string(i + 1), block,
                mapreduce::to_string(task.kind),
                std::to_string(task.exec_node),
                util::Table::num(task.assign_time, 1),

@@ -40,7 +40,9 @@ int main() {
       analysis::ModelParams p;
       p.n = n;
       p.k = k;
-      add_row(t, "(" + std::to_string(n) + "," + std::to_string(k) + ")", p);
+      std::string label = "(";
+      label += std::to_string(n) + "," + std::to_string(k) + ")";
+      add_row(t, label, p);
     }
     std::cout << t << "Paper: DF cuts LF by 15%-32%, growing with k; DF flat.\n";
   }

@@ -30,7 +30,7 @@ using bench::boxplot_header;
 namespace {
 
 int g_seeds = 30;
-int g_jobs = 1;
+int g_jobs = runner::default_jobs();
 
 /// Runs one panel setting for both schedulers and appends two table rows.
 /// Seeds fan out across the sweep pool; every cell builds its own scheduler
@@ -88,8 +88,11 @@ std::function<storage::FailureScenario(util::Rng&)> single_failure(
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_seeds = bench::seeds_from_args(argc, argv);
-  g_jobs = bench::jobs_from_args(argc, argv);
+  util::FlagTable flags("fig7_simulation", "Figure 7: LF vs EDF simulation");
+  flags.integer("seeds", &g_seeds, "[1,inf)", "configurations per setting");
+  flags.integer("jobs", &g_jobs, "[1,inf)",
+                "seed-sweep threads (default: all)");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Figure 7: simulation, normalized runtimes over " << g_seeds
             << " random configurations per setting\n"
             << "Cluster: 40 nodes / 4 racks, 1 Gbps racks, 128 MB blocks, "

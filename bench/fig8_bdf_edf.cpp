@@ -27,7 +27,7 @@ using namespace dfs;
 namespace {
 
 int g_seeds = 30;
-int g_jobs = 1;
+int g_jobs = runner::default_jobs();
 
 struct SchemeStats {
   std::vector<double> remote_change;  // % vs LF
@@ -103,8 +103,11 @@ void print_panel(const std::string& title, const SchemeStats& homo_bdf,
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_seeds = bench::seeds_from_args(argc, argv);
-  g_jobs = bench::jobs_from_args(argc, argv);
+  util::FlagTable flags("fig8_bdf_edf", "Figure 8: BDF vs EDF vs LF");
+  flags.integer("seeds", &g_seeds, "[1,inf)", "samples per setting");
+  flags.integer("jobs", &g_jobs, "[1,inf)",
+                "seed-sweep threads (default: all)");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Figure 8: BDF vs EDF vs LF, single-node failure, " << g_seeds
             << " samples per setting\n";
 

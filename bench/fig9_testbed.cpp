@@ -39,7 +39,9 @@ Bar bar(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_runs = bench::seeds_from_args(argc, argv, 5);
+  util::FlagTable flags("fig9_testbed", "Figure 9: testbed experiments");
+  flags.integer("seeds", &g_runs, "[1,inf)", "runs per bar");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::testbed_cluster();
   core::LocalityFirstScheduler lf;
   auto edf = core::DegradedFirstScheduler::enhanced();

@@ -87,7 +87,6 @@ cluster::ClusterOptions scale_options(const ScaleCase& c) {
   opts.config.links.rack_down = util::gigabits_per_sec(40.0);
   opts.arrivals.job.num_blocks = c.blocks_per_job;
   opts.arrivals.mean_interarrival = c.mean_interarrival;
-  opts.arrivals.horizon = c.horizon;
   opts.horizon = c.horizon;
   opts.warmup = c.horizon / 10.0;
   // 240 h per-node MTTF: ~10 expected failures over the full case's window

@@ -42,7 +42,10 @@ struct Breakdown {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int runs = bench::seeds_from_args(argc, argv, 5);
+  int runs = 5;
+  util::FlagTable flags("table1_breakdown", "Table I: runtime per task type");
+  flags.integer("seeds", &runs, "[1,inf)", "runs per job");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   const auto cfg = workload::testbed_cluster();
   core::LocalityFirstScheduler lf;
   auto edf = core::DegradedFirstScheduler::enhanced();

@@ -29,11 +29,13 @@ const char* to_string(ArrivalModel model) {
 ArrivalProcess::ArrivalProcess(sim::Simulator& simulator,
                                mapreduce::Master& master,
                                const net::Topology& topology,
-                               ArrivalOptions options, util::Rng rng)
+                               ArrivalOptions options, util::Seconds horizon,
+                               util::Rng rng)
     : sim_(simulator),
       master_(master),
       topology_(topology),
       options_(options),
+      horizon_(horizon),
       rng_(rng) {
   if (options_.mean_interarrival <= 0.0) {
     throw std::invalid_argument("mean_interarrival must be > 0");
@@ -94,7 +96,7 @@ void ArrivalProcess::schedule_next() {
   const util::Seconds at = sim_.now() + next_gap();
   // Strictly before the horizon: admission closes *at* the horizon, and a
   // candidate tying with that event would lose the FIFO tie-break.
-  if (at >= options_.horizon) return;
+  if (at >= horizon_) return;
   sim_.schedule_at(at, [this] { on_candidate(); });
 }
 

@@ -44,8 +44,6 @@ struct ArrivalOptions {
   /// amplitude in [0, 1).
   double diurnal_amplitude = 0.5;
   util::Seconds diurnal_period = 24.0 * 3600.0;
-  /// Admission stops at the horizon; already-queued jobs still drain.
-  util::Seconds horizon = 2.0 * 3600.0;
   /// Template of every submitted job. Each arrival gets a fresh randomly
   /// placed erasure-coded input file under these knobs.
   workload::SimJobOptions job;
@@ -62,12 +60,13 @@ struct ArrivalOptions {
 /// at generated times *while the simulation runs* — the online counterpart
 /// of workload::make_multi_job_workload's pre-built batch. The job stream
 /// does not react to cluster state (open loop), which is what makes the
-/// steady-state latency percentiles meaningful.
+/// steady-state latency percentiles meaningful. Admission stops at
+/// `horizon`; already-queued jobs still drain.
 class ArrivalProcess {
  public:
   ArrivalProcess(sim::Simulator& simulator, mapreduce::Master& master,
                  const net::Topology& topology, ArrivalOptions options,
-                 util::Rng rng);
+                 util::Seconds horizon, util::Rng rng);
 
   /// Arms the first arrival. Call after Master::start(), before
   /// Simulator::run(). The master must be in online mode.
@@ -90,6 +89,7 @@ class ArrivalProcess {
   mapreduce::Master& master_;
   const net::Topology& topology_;
   ArrivalOptions options_;
+  util::Seconds horizon_;
   util::Rng rng_;
   int submitted_ = 0;
   int next_job_id_ = 0;

@@ -11,7 +11,9 @@ LifecycleDriver::LifecycleDriver(sim::Simulator& simulator,
                                  storage::FailureScenario& failure,
                                  const storage::StorageLayout& archive_layout,
                                  const ec::ErasureCode& archive_code,
-                                 LifecycleOptions options, util::Rng rng)
+                                 LifecycleOptions options,
+                                 util::Seconds horizon, util::Bytes block_size,
+                                 bool compute_failures, util::Rng rng)
     : sim_(simulator),
       net_(network),
       master_(master),
@@ -19,6 +21,9 @@ LifecycleDriver::LifecycleDriver(sim::Simulator& simulator,
       archive_layout_(archive_layout),
       archive_code_(archive_code),
       options_(options),
+      horizon_(horizon),
+      block_size_(block_size),
+      compute_failures_(compute_failures),
       rng_(rng) {
   if (options_.node_mttf_hours <= 0.0) {
     throw std::invalid_argument("node_mttf_hours must be > 0");
@@ -33,13 +38,13 @@ void LifecycleDriver::start() {
   for (net::NodeId n = 0; n < net_.topology().num_nodes(); ++n) {
     if (!failure_.is_failed(n)) arm_failure_clock(n);
   }
-  sim_.schedule_at(options_.horizon, [this] { stop_at_horizon(); });
+  sim_.schedule_at(horizon_, [this] { stop_at_horizon(); });
 }
 
 void LifecycleDriver::arm_failure_clock(net::NodeId node) {
   const util::Seconds ttf =
       rng_.exponential(options_.node_mttf_hours * 3600.0);
-  if (sim_.now() + ttf > options_.horizon) return;  // never fires in-window
+  if (sim_.now() + ttf > horizon_) return;  // never fires in-window
   clocks_[static_cast<std::size_t>(node)] =
       sim_.schedule_in(ttf, [this, node] { on_failure_clock(node); });
 }
@@ -87,7 +92,7 @@ void LifecycleDriver::trigger_failure(std::vector<net::NodeId> nodes,
     clocks_[static_cast<std::size_t>(n)] = sim::EventId{};
     failure_.fail(n);
     master_.on_node_failed(n);
-    if (options_.compute_failures) master_.on_compute_failed(n);
+    if (compute_failures_) master_.on_compute_failed(n);
     // Other events' in-flight repairs may be reading from or rebuilding
     // onto the newly-dead node.
     for (const auto& prior : events_) {
@@ -99,7 +104,7 @@ void LifecycleDriver::trigger_failure(std::vector<net::NodeId> nodes,
 
   mapreduce::RepairProcess::Options ropts;
   ropts.concurrency = options_.repair_concurrency;
-  ropts.block_size = options_.block_size;
+  ropts.block_size = block_size_;
   ropts.start_time =
       sim_.now() + rng_.exponential(options_.mean_repair_delay);
   active->event.repair_start = ropts.start_time;

@@ -35,17 +35,6 @@ struct LifecycleOptions {
   int max_concurrent_failed = 4;
   /// Simultaneous block reconstructions per failure event.
   int repair_concurrency = 4;
-  /// Size of each rebuilt block.
-  util::Bytes block_size = util::mebibytes(128);
-  /// No new failures are injected after the horizon; repairs already
-  /// running still complete.
-  util::Seconds horizon = 2.0 * 3600.0;
-  /// Fault layer: a failure also kills the node's TaskTracker (the master
-  /// detects it by heartbeat expiry and reschedules its attempts). Requires
-  /// ClusterConfig::fault to match. It gates only that compute death: the
-  /// storage death reaches the master's reads and every in-flight repair
-  /// either way.
-  bool compute_failures = false;
 };
 
 /// One node- or rack-failure event and its repair outcome.
@@ -67,6 +56,13 @@ struct FailureEvent {
 /// share of the cluster's archival data over the shared network. When the
 /// last block lands the node rejoins, full locality is restored, and its
 /// MTTF clock is redrawn.
+///
+/// No new failures are injected after `horizon`; repairs already running
+/// still complete. Each rebuilt block is `block_size` bytes. With
+/// `compute_failures` (ClusterConfig::fault's switch) a failure also kills
+/// the node's TaskTracker, which the master detects by heartbeat expiry;
+/// the storage death reaches the master's reads and every in-flight repair
+/// either way.
 class LifecycleDriver {
  public:
   LifecycleDriver(sim::Simulator& simulator, net::Network& network,
@@ -74,7 +70,9 @@ class LifecycleDriver {
                   storage::FailureScenario& failure,
                   const storage::StorageLayout& archive_layout,
                   const ec::ErasureCode& archive_code,
-                  LifecycleOptions options, util::Rng rng);
+                  LifecycleOptions options, util::Seconds horizon,
+                  util::Bytes block_size, bool compute_failures,
+                  util::Rng rng);
 
   /// Arms every node's failure clock and the horizon stop. Call before
   /// Simulator::run().
@@ -113,6 +111,9 @@ class LifecycleDriver {
   const storage::StorageLayout& archive_layout_;
   const ec::ErasureCode& archive_code_;
   LifecycleOptions options_;
+  util::Seconds horizon_;
+  util::Bytes block_size_;
+  bool compute_failures_;
   util::Rng rng_;
 
   std::vector<sim::EventId> clocks_;  ///< pending failure clock per node

@@ -1,13 +1,21 @@
 #include "dfs/cluster/simulation.h"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "dfs/ec/registry.h"
+#include "dfs/ec/reed_solomon.h"
 #include "dfs/workload/scenarios.h"
 
 namespace dfs::cluster {
+
+namespace {
+// The cluster's archival data: a random rack-constrained RS(20,15) layout
+// whose per-node share is what a repair rebuilds. Its size sets the repair
+// traffic volume per failure.
+constexpr int kArchiveNativeBlocks = 600;
+constexpr int kArchiveN = 20;
+constexpr int kArchiveK = 15;
+}  // namespace
 
 ClusterOptions::ClusterOptions() {
   config = workload::default_sim_cluster();
@@ -23,12 +31,6 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
                                      core::Scheduler& scheduler,
                                      std::uint64_t seed)
     : opts_(std::move(options)), rng_(seed) {
-  // ClusterOptions::horizon is authoritative for every component window.
-  opts_.arrivals.horizon = opts_.horizon;
-  opts_.lifecycle.horizon = opts_.horizon;
-  opts_.lifecycle.block_size = opts_.config.block_size;
-  opts_.lifecycle.compute_failures = opts_.config.fault.compute_failures;
-
   // Materialize the speed profile before the master snapshots the config.
   // Uniform materializes to the empty vector: skip the assignment entirely
   // so an explicitly-set node_time_scale survives and inert runs stay
@@ -42,8 +44,7 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
                                         opts_.config.links,
                                         opts_.config.contention);
   master_ = std::make_unique<mapreduce::Master>(sim_, *net_, opts_.config,
-                                                failure_, scheduler, rng_,
-                                                opts_.source_selection);
+                                                failure_, scheduler, rng_);
   master_->set_admission_open(true);
   // FIFO keeps the null fast path (no policy call per heartbeat); anything
   // else is built by the factory and installed for the master's lifetime.
@@ -56,20 +57,17 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
   // repair actually rebuilds. Shares the network with the job traffic.
   archive_layout_ = std::make_shared<const storage::StorageLayout>(
       storage::random_rack_constrained_layout(
-          opts_.archive_native_blocks, opts_.archive_n, opts_.archive_k,
-          opts_.config.topology, rng_));
-  archive_code_ = ec::make_code_from_spec(
-      "rs:" + std::to_string(opts_.archive_n) + "," +
-      std::to_string(opts_.archive_k));
-  if (!archive_code_) {
-    throw std::invalid_argument("bad archive code parameters");
-  }
+          kArchiveNativeBlocks, kArchiveN, kArchiveK, opts_.config.topology,
+          rng_));
+  archive_code_ = ec::make_reed_solomon(kArchiveN, kArchiveK);
 
   lifecycle_ = std::make_unique<LifecycleDriver>(
       sim_, *net_, *master_, failure_, *archive_layout_, *archive_code_,
-      opts_.lifecycle, rng_.fork());
+      opts_.lifecycle, opts_.horizon, opts_.config.block_size,
+      opts_.config.fault.compute_failures, rng_.fork());
   arrivals_ = std::make_unique<ArrivalProcess>(
-      sim_, *master_, opts_.config.topology, opts_.arrivals, rng_.fork());
+      sim_, *master_, opts_.config.topology, opts_.arrivals, opts_.horizon,
+      rng_.fork());
   sampler_ = std::make_unique<ClusterSampler>(
       sim_, *net_, *master_, *lifecycle_, opts_.sample_interval, [this] {
         // Keep sampling through the drain tail: until admission has closed,

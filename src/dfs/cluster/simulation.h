@@ -13,7 +13,6 @@
 #include "dfs/mapreduce/speed_model.h"
 #include "dfs/net/network.h"
 #include "dfs/sim/simulator.h"
-#include "dfs/storage/degraded.h"
 #include "dfs/storage/failure.h"
 #include "dfs/storage/layout.h"
 
@@ -26,21 +25,14 @@ struct ClusterOptions {
   mapreduce::ClusterConfig config;  ///< default: §V-B cluster (see .cpp)
   ArrivalOptions arrivals;
   LifecycleOptions lifecycle;
-  /// Admission + failure-injection window; jobs in flight at the horizon
-  /// still drain, so the simulation usually ends a little after it.
+  /// Admission + failure-injection window of every component; jobs in
+  /// flight at the horizon still drain, so the simulation usually ends a
+  /// little after it.
   util::Seconds horizon = 2.0 * 3600.0;
   /// Jobs submitted before the warm-up cutoff are excluded from the
   /// steady-state statistics (queue fill-up transient).
   util::Seconds warmup = 600.0;
   util::Seconds sample_interval = 60.0;
-  /// The cluster's archival data: a random rack-constrained (archive_n,
-  /// archive_k) layout whose per-node share is what a repair rebuilds. Its
-  /// size sets the repair traffic volume per failure.
-  int archive_native_blocks = 600;
-  int archive_n = 20;
-  int archive_k = 15;
-  storage::SourceSelection source_selection =
-      storage::SourceSelection::kRandom;
   /// Per-slave speed profile, materialized into config.node_time_scale at
   /// construction. The uniform default materializes to the empty vector and
   /// leaves any explicitly-set config.node_time_scale untouched, so it is

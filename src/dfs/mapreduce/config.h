@@ -75,8 +75,6 @@ struct HedgeConfig {
   /// top of reconstructability itself (0 = coverage alone decides). Lets
   /// ablations force deeper waits.
   int min_quorum = 0;
-
-  bool active() const { return enabled; }
 };
 
 /// Per-fetch supervision: timeouts and bounded retries around every
@@ -145,30 +143,14 @@ struct ClusterConfig {
   /// heterogeneous experiments of §V-C.
   std::vector<double> node_time_scale;
 
-  /// Seconds of CPU time a degraded task spends decoding the lost block
-  /// after its sources arrive (0 in the paper's model; knob for ablations).
-  util::Seconds decode_overhead = 0.0;
-
   /// Hadoop-style speculative execution (off by default: the paper's
   /// evaluation disables it). When a job has no unassigned map tasks and a
   /// slave has an idle slot, a backup copy of the slowest-running map task
-  /// is launched on that slave if it has been running longer than
-  /// `speculation_slowdown` times the mean completed-map runtime; the first
-  /// copy to finish wins. Losing copies run to completion on their slot (we
-  /// model the conservative no-kill variant).
+  /// is launched on that slave if it has been running longer than 1.5
+  /// times the mean completed-map runtime, once a tenth of the job's maps
+  /// have completed; the first copy to finish wins. Losing copies run to
+  /// completion on their slot (we model the conservative no-kill variant).
   bool speculative_execution = false;
-  double speculation_slowdown = 1.5;
-  /// Fraction of the job's maps that must have completed before runtimes
-  /// are considered representative enough to speculate against.
-  double speculation_min_completed_fraction = 0.1;
-  /// Heterogeneity-aware speculation: judge an attempt overdue against its
-  /// node's *expected* pace (elapsed divided by the node's time-scale
-  /// factor) instead of raw wall-clock. A node the speed model already
-  /// declares 2x slow is then not flagged merely for being 2x slow — only
-  /// for lagging beyond that. Off (the Hadoop-classic rule) by default;
-  /// distinguish this from straggler *jitter* (StragglerConfig), which is
-  /// unplanned and exactly what speculation exists to catch.
-  bool speculation_speed_aware = false;
 
   /// Compute-failure fault tolerance; inert at its defaults.
   FaultConfig fault;
@@ -183,7 +165,7 @@ struct ClusterConfig {
   /// A hedge or straggler knob is set: the supervisor then forks its Rng
   /// from the master's stream, and the tools print the hedging report.
   bool fetch_supervised() const {
-    return hedge.active() || straggler.active();
+    return hedge.enabled || straggler.active();
   }
 
   double time_scale(NodeId node) const {

@@ -254,7 +254,7 @@ void FetchSupervisor::on_fetch_failed(ReadId id, Read& read, std::size_t idx,
 
 void FetchSupervisor::fallback_replan(ReadId id, Read& read) {
   ++stats_.fallback_replans;
-  const int extras = cfg_.hedge.active() ? cfg_.hedge.extra_sources : 0;
+  const int extras = cfg_.hedge.enabled ? cfg_.hedge.extra_sources : 0;
   auto plan = read.planner->plan_hedged(read.lost, read.reader, failure_,
                                         rng_, extras, read.exclude);
   if (!plan && read.resets < kMaxReadResets &&

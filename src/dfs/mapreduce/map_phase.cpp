@@ -9,6 +9,15 @@
 
 namespace dfs::mapreduce {
 
+namespace {
+// Speculation backs up an attempt once it has run this many times the job's
+// mean completed-map runtime ...
+constexpr double kSpeculationSlowdown = 1.5;
+// ... and only after this fraction of the job's maps has completed, so the
+// mean is representative.
+constexpr double kSpeculationMinCompletedFraction = 0.1;
+}  // namespace
+
 void MapPhase::activate_job(JobState& j) {
   assert(!j.active);
   j.active = true;
@@ -288,7 +297,7 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
     // Every degraded read runs under the fetch supervisor. Only the primary
     // plan draws from j.rng; hedges, timeouts, injection and fallback
     // replans draw from the supervisor's own stream.
-    const int extras = s_.cfg.hedge.active() ? s_.cfg.hedge.extra_sources : 0;
+    const int extras = s_.cfg.hedge.enabled ? s_.cfg.hedge.extra_sources : 0;
     auto hplan = j.planner->plan_hedged(t.block, s, s_.failure, j.rng, extras);
     if (!backup) {
       // Cost-weighted pacing charges the primary option's volume (hedge
@@ -380,10 +389,9 @@ void MapPhase::on_map_input_ready(core::JobId job_id, int record_idx,
     s_.map_attempts.erase(record_idx);
     return;
   }
-  util::Seconds duration =
+  const util::Seconds duration =
       j.rng.normal(j.spec.map_time.mean, j.spec.map_time.stddev) *
       s_.cfg.time_scale(rec.exec_node);
-  if (rec.kind == MapTaskKind::kDegraded) duration += s_.cfg.decode_overhead;
   if (s_.cfg.fault.injection_enabled() &&
       s_.cfg.fault.node_flaky(rec.exec_node) &&
       j.rng.uniform(0.0, 1.0) < s_.cfg.fault.attempt_failure_prob) {
@@ -465,29 +473,21 @@ void MapPhase::try_speculate(NodeId s) {
     if (j.m < j.total_m) continue;  // unassigned work takes precedence
     if (j.maps_done >= j.total_m) continue;
     if (static_cast<double>(j.maps_done) <
-        s_.cfg.speculation_min_completed_fraction * j.total_m) {
+        kSpeculationMinCompletedFraction * j.total_m) {
       continue;
     }
     const double mean_runtime =
         j.completed_map_runtime_sum / static_cast<double>(j.maps_done);
     // Back up the longest-running attempt that is sufficiently overdue.
     int candidate = -1;
-    double worst_elapsed = s_.cfg.speculation_slowdown * mean_runtime;
+    double worst_elapsed = kSpeculationSlowdown * mean_runtime;
     for (std::size_t i = 0; i < j.maps.size(); ++i) {
       const MapTaskState& t = j.maps[i];
       if (!t.assigned || t.done || t.has_backup) continue;
       const auto& rec =
           s_.result.map_tasks[static_cast<std::size_t>(t.record)];
       if (rec.exec_node == s) continue;  // back up on a *different* node
-      // Speed-aware mode discounts elapsed time by the node's known speed
-      // factor, so a configured-slow node is only flagged when it lags its
-      // *own* expected pace. Off by default (scale 1.0: the classic rule,
-      // bit-for-bit — stragglers are then unplanned jitter speculation is
-      // meant to catch).
-      const double scale =
-          s_.cfg.speculation_speed_aware ? s_.cfg.time_scale(rec.exec_node)
-                                         : 1.0;
-      const double elapsed = (s_.sim.now() - rec.assign_time) / scale;
+      const double elapsed = s_.sim.now() - rec.assign_time;
       if (elapsed > worst_elapsed) {
         worst_elapsed = elapsed;
         candidate = static_cast<int>(i);

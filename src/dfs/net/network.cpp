@@ -33,7 +33,10 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
   // topology order; unlimited ones never contend and drop out of every path.
   // Under the default LinkConfig that leaves the rack links and skips the
   // 2 x nodes node links.
-  link_index_.assign(static_cast<std::size_t>(core_link()) + 1, -1);
+  link_index_.assign(
+      2 * static_cast<std::size_t>(topology_.num_nodes() +
+                                   topology_.num_racks()),
+      -1);
   const auto add = [this](int topo_link, util::BytesPerSec capacity) {
     if (capacity == util::kUnlimitedBandwidth) return;
     link_index_[static_cast<std::size_t>(topo_link)] =
@@ -48,7 +51,6 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
     add(rack_up_link(r), links.rack_up);
     add(rack_down_link(r), links.rack_down);
   }
-  add(core_link(), links.core);
   // All per-link side tables are sized once here. The water-filling scratch
   // maintains the invariant that every seeded count returns to zero, so
   // recomputes never pay an O(links) clear; the flood-fill marks are
@@ -71,7 +73,6 @@ Network::Path Network::contended_path(NodeId src, NodeId dst) const {
   add_if_limited(node_up_link(src));
   if (!topology_.same_rack(src, dst)) {
     add_if_limited(rack_up_link(topology_.rack_of(src)));
-    add_if_limited(core_link());
     add_if_limited(rack_down_link(topology_.rack_of(dst)));
   }
   add_if_limited(node_down_link(dst));

@@ -42,7 +42,6 @@ struct LinkConfig {
   util::BytesPerSec node_down = util::kUnlimitedBandwidth;
   util::BytesPerSec rack_up = util::gigabits_per_sec(1.0);
   util::BytesPerSec rack_down = util::gigabits_per_sec(1.0);
-  util::BytesPerSec core = util::kUnlimitedBandwidth;  ///< aggregate core cap
 };
 
 /// Handle to a transfer: its flow-slab slot in the high 32 bits and the
@@ -54,9 +53,10 @@ using FlowId = std::uint64_t;
 
 /// Flow-level network model over a Topology, driven by a Simulator.
 ///
-/// Transfers are fluid flows routed src-node-up → src-rack-up → core →
+/// Transfers are fluid flows routed src-node-up → src-rack-up →
 /// dst-rack-down → dst-node-down (segments collapse away when the endpoints
-/// share a rack or a node, or when a segment is unlimited). Completion
+/// share a rack or a node, or when a segment is unlimited). The core switch
+/// is non-blocking, as in the paper's model, so it never contends. Completion
 /// callbacks fire at the simulated completion time. Flows that finish at
 /// the same instant are delivered in the order they were started, the same
 /// FIFO tie-break the event kernel gives same-time events.
@@ -172,10 +172,10 @@ class Network {
     util::Seconds busy_total = 0.0;
   };
 
-  /// A contended path, inline: at most node-up, rack-up, core, rack-down
-  /// and node-down. Also the key that maps a path to its flow class.
+  /// A contended path, inline: at most node-up, rack-up, rack-down and
+  /// node-down. Also the key that maps a path to its flow class.
   struct Path {
-    static constexpr int kMaxLinks = 5;
+    static constexpr int kMaxLinks = 4;
     std::array<int, kMaxLinks> link{};
     int size = 0;
 
@@ -308,16 +308,13 @@ class Network {
 
   void mark_links_active(const Path& links, int delta);
 
-  // Topology link layout: [0, 2N) node up/down, [2N, 2N+2R) rack up/down,
-  // [2N+2R] core. link_index_ maps these to indices into links_.
+  // Topology link layout: [0, 2N) node up/down, [2N, 2N+2R) rack up/down.
+  // link_index_ maps these to indices into links_.
   int node_up_link(NodeId n) const { return 2 * n; }
   int node_down_link(NodeId n) const { return 2 * n + 1; }
   int rack_up_link(RackId r) const { return 2 * topology_.num_nodes() + 2 * r; }
   int rack_down_link(RackId r) const {
     return 2 * topology_.num_nodes() + 2 * r + 1;
-  }
-  int core_link() const {
-    return 2 * topology_.num_nodes() + 2 * topology_.num_racks();
   }
 
   sim::Simulator& sim_;

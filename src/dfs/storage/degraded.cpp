@@ -102,10 +102,9 @@ double DegradedReadPlanner::option_cost(const ec::RecoveryOption& option,
   double cost = 0.0;
   for (const ec::RecoverySource& src : option.sources) {
     const NodeId holder = layout_.node_of(BlockId{stripe, src.shard});
-    const double weight = topo_.same_rack(holder, reader)
-                              ? cost_model_.in_rack_weight
-                              : cost_model_.cross_rack_weight;
-    cost += src.fraction * weight;
+    cost += topo_.same_rack(holder, reader)
+                ? src.fraction
+                : src.fraction * cost_model_.cross_rack_weight;
   }
   return cost;
 }

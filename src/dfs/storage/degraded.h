@@ -30,14 +30,14 @@ enum class SourceSelection {
 };
 
 /// Scores the candidate RecoveryOptions of a degraded read. An option's
-/// cost is the sum over its sources of (fraction of the block fetched) x
-/// (the weight of the link class it crosses); the planner picks the
-/// cheapest option, breaking ties toward the code's preferred (first)
-/// option. The neutral defaults weigh every byte equally, which reproduces
-/// the code's own preference order exactly — rs/crs/lrc plans are then
-/// byte-identical to the historical fixed-count planner.
+/// cost is the sum over its sources of the fraction of the block fetched,
+/// weighted by `cross_rack_weight` when the source sits outside the
+/// reader's rack; the planner picks the cheapest option, breaking ties
+/// toward the code's preferred (first) option. The neutral default weighs
+/// every byte equally, which reproduces the code's own preference order
+/// exactly — rs/crs/lrc plans are then byte-identical to the historical
+/// fixed-count planner.
 struct RecoveryCostModel {
-  double in_rack_weight = 1.0;     ///< source in the reader's rack
   double cross_rack_weight = 1.0;  ///< source behind the core switch
   /// When false, options that fetch partial blocks are discarded and only
   /// whole-block options compete — the rs-vs-hh byte-identity harness and

@@ -278,6 +278,21 @@ TEST(Cluster, LifecycleInjectsFailuresAndRepairsThemAll) {
   EXPECT_GT(result.summary.degraded_task_fraction, 0.0);
 }
 
+TEST(Cluster, HorizonBoundsArrivalsAndFailures) {
+  // ClusterOptions::horizon is the one window: the arrival stream and the
+  // failure clocks both stop at it, here well before the 2 h default.
+  ClusterOptions opts = fast_options();
+  opts.horizon = 900.0;
+  const auto scheduler = core::make_scheduler("BDF");
+  ClusterSimulation simulation(opts, *scheduler, 11);
+  const ClusterResult result = simulation.run();
+
+  ASSERT_FALSE(result.run.jobs.empty());
+  ASSERT_FALSE(result.failures.empty());
+  for (const auto& j : result.run.jobs) EXPECT_LT(j.submit_time, opts.horizon);
+  for (const auto& f : result.failures) EXPECT_LT(f.fail_time, opts.horizon);
+}
+
 TEST(Cluster, RackFailuresFireAndStayRecoverable) {
   ClusterOptions opts = fast_options();
   opts.lifecycle.rack_failure_fraction = 1.0;  // every event takes a rack
@@ -500,27 +515,27 @@ TEST(Cluster, ArrivalOptionsAreValidated) {
   ArrivalOptions bad;
   bad.mean_interarrival = 0.0;
   EXPECT_THROW(ArrivalProcess(h.sim, *h.master, h.cfg.topology, bad,
-                              util::Rng(1)),
+                              3600.0, util::Rng(1)),
                std::invalid_argument);
   bad = ArrivalOptions{};
   bad.pareto_alpha = 1.0;
   EXPECT_THROW(ArrivalProcess(h.sim, *h.master, h.cfg.topology, bad,
-                              util::Rng(1)),
+                              3600.0, util::Rng(1)),
                std::invalid_argument);
   bad = ArrivalOptions{};
   bad.diurnal_amplitude = 1.0;
   EXPECT_THROW(ArrivalProcess(h.sim, *h.master, h.cfg.topology, bad,
-                              util::Rng(1)),
+                              3600.0, util::Rng(1)),
                std::invalid_argument);
   bad = ArrivalOptions{};
   bad.tenants.push_back({.arrival_share = 0.0});
   EXPECT_THROW(ArrivalProcess(h.sim, *h.master, h.cfg.topology, bad,
-                              util::Rng(1)),
+                              3600.0, util::Rng(1)),
                std::invalid_argument);
   bad = ArrivalOptions{};
   bad.tenants.push_back({.arrival_share = 1.0, .job_scale = -0.5});
   EXPECT_THROW(ArrivalProcess(h.sim, *h.master, h.cfg.topology, bad,
-                              util::Rng(1)),
+                              3600.0, util::Rng(1)),
                std::invalid_argument);
 }
 

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/runner/thread_pool.h"
 
@@ -101,25 +100,6 @@ TEST(Sweep, PropagatesFirstException) {
   // The pool survives a throwing sweep.
   const auto ok = sweep(pool, 8, [](std::size_t i) { return i; });
   EXPECT_EQ(ok.size(), 8u);
-}
-
-// --- --jobs parsing ----------------------------------------------------------
-
-TEST(JobsFlag, ParseAcceptsPositiveIntegers) {
-  EXPECT_EQ(parse_jobs("1"), 1);
-  EXPECT_EQ(parse_jobs("4"), 4);
-  EXPECT_EQ(parse_jobs("128"), 128);
-}
-
-TEST(JobsFlag, ParseRejectsZeroNegativeAndJunk) {
-  EXPECT_FALSE(parse_jobs("0"));
-  EXPECT_FALSE(parse_jobs("-3"));
-  EXPECT_FALSE(parse_jobs(""));
-  EXPECT_FALSE(parse_jobs("abc"));
-  EXPECT_FALSE(parse_jobs("2x"));      // atoi would read 2
-  EXPECT_FALSE(parse_jobs(" 4"));
-  EXPECT_FALSE(parse_jobs("4.0"));
-  EXPECT_FALSE(parse_jobs("99999999999999999999"));  // overflow
 }
 
 // --- tool-level determinism --------------------------------------------------

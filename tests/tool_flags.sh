@@ -1,15 +1,15 @@
 #!/bin/sh
-# Flag-probe gate for dfsim, dfscluster and the perf_regression and
-# scale_regression harnesses, generated from each binary's --help table
-# rather than from a hand-kept list. For every numeric flag it
-# passes nan, a number with trailing junk, a value just outside the printed
-# range, and no value at all; every choice flag gets an unknown option; each
-# tool also gets an unknown flag and a stray positional argument. Every probe
-# must exit 1 within 10 s with an error on stderr that names the flag (and,
-# for a bad value, its range). The motivating defects are checked by name
-# at the end: NaN horizons that never terminated, and atoi/atof quietly
-# reading "abc" as 0 or "3x" as 3 (in the harnesses, a --max-regress of 0
-# that gated every metric at 0 % tolerance).
+# Flag-probe gate for dfsim, dfscluster and every bench harness that takes
+# flags, generated from each binary's --help table rather than from a
+# hand-kept list. For every numeric flag it passes nan, a number with
+# trailing junk, a value just outside the printed range, and no value at
+# all; every choice flag gets an unknown option; each tool also gets an
+# unknown flag and a stray positional argument. Every probe must exit 1
+# within 10 s with an error on stderr that names the flag (and, for a bad
+# value, its range). The motivating defects are checked by name at the end:
+# NaN horizons that never terminated, and atoi/atof quietly reading "abc"
+# as 0 or "3x" as 3 (in the harnesses, a --max-regress of 0 that gated
+# every metric at 0 % tolerance).
 #
 # Usage: tool_flags.sh <tools_dir> <bench_dir>
 set -u
@@ -26,10 +26,19 @@ failures=0
 
 bin() {
   case $1 in
-    *_regression) echo "$BENCH_DIR/$1" ;;
-    *) echo "$TOOLS_DIR/$1" ;;
+    dfs*) echo "$TOOLS_DIR/$1" ;;
+    *) echo "$BENCH_DIR/$1" ;;
   esac
 }
+
+# The figure and ablation harnesses that take flags: each takes --seeds,
+# some also --jobs and --quick.
+HARNESSES="fig7_simulation fig8_bdf_edf fig9_testbed table1_breakdown
+  ablation_affinity ablation_contention ablation_delay ablation_edf_knobs
+  ablation_fair ablation_faults ablation_heartbeat ablation_hedging
+  ablation_lrc ablation_recovery ablation_repair ablation_replication
+  ablation_sources ablation_speculation ablation_tenancy
+  cluster_steady_state"
 
 # expect_error <tool> <flag> <range|""> [args...]
 expect_error() {
@@ -61,7 +70,7 @@ outside() {
   }'
 }
 
-for tool in dfsim dfscluster perf_regression scale_regression; do
+for tool in dfsim dfscluster perf_regression scale_regression $HARNESSES; do
   if ! timeout 10 "$(bin "$tool")" --help > "$WORK/help"; then
     echo "FAIL: $tool --help did not exit 0" >&2
     failures=$((failures + 1))
@@ -105,6 +114,11 @@ expect_error perf_regression --max-regress "[0,1)" --max-regress abc
 expect_error perf_regression --seeds "[1,inf)" --seeds 2x
 expect_error scale_regression --seed "[0,inf)" --seed abc
 expect_error scale_regression --max-regress "[0,1)" --max-regress 1e-400x
+# Every harness rejects a non-numeric --seeds the way the tools reject a
+# bad value: exit 1, naming the flag and its range.
+for tool in $HARNESSES; do
+  expect_error "$tool" --seeds "[1,inf)" --seeds abc
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "tool_flags: $failures of $probes probes failed" >&2

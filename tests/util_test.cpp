@@ -624,6 +624,8 @@ TEST(FlagTable, RejectsMalformedValuesNamingFlagAndBound) {
   const std::vector<std::vector<const char*>> bad = {
       {"--racks", "3x"},      {"--racks", "abc"},   {"--racks", "0"},
       {"--racks", " 3"},      {"--racks", "99999999999"},
+      {"--racks", "2x"},      {"--racks", " 4"},    {"--racks", "4.0"},
+      {"--racks", "-3"},      {"--racks", "99999999999999999999"},
       {"--heartbeat", "nan"}, {"--heartbeat", "inf"},
       {"--heartbeat", "0"},   {"--heartbeat", ""},
       {"--time", "10"},       {"--time", "0,1"},    {"--time", "10,-1"},
