@@ -51,15 +51,15 @@ double mean_of(const std::vector<double>& v) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int seeds = 0, jobs = runner::default_jobs();
+  int seeds = 5, jobs = runner::default_jobs();
   util::FlagTable flags("ablation_tenancy",
                         "policy x heterogeneity x tenancy matrix");
   flags.toggle("quick", &quick, "CI-sized horizon and seed count");
   flags.integer("seeds", &seeds, "[1,inf)",
-                "runs per cell (default 5, quick 2)");
+                "runs per cell (quick: 2)");
   flags.integer("jobs", &jobs, "[1,inf)", "seed-sweep threads (default: all)");
   if (const auto status = flags.parse(argc, argv)) return *status;
-  if (seeds == 0) seeds = quick ? 2 : 5;
+  if (quick && !flags.given("seeds")) seeds = 2;
 
   // Moderate open load so the admission queue is non-trivial but stable:
   // jobs overlap and queue behind each other, which is the regime where

@@ -4,7 +4,7 @@
 // degraded reads at once; degraded-first rides that idle bandwidth instead.
 // Prints an ASCII utilization timeline per scheduler.
 //
-// Usage: ablation_utilization [--seeds N]   (seed count unused; single trace)
+// Usage: ablation_utilization   (no flags; one trace)
 
 #include <iostream>
 
@@ -59,7 +59,10 @@ void run_trace(core::Scheduler& sched) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::FlagTable flags("ablation_utilization",
+                        "rack-downlink utilization timeline per scheduler");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Rack-downlink utilization during a failure-mode run "
                "(default cluster, single-node failure)\n";
   core::LocalityFirstScheduler lf;

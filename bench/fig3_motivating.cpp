@@ -25,6 +25,7 @@
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/net/network.h"
 #include "dfs/sim/simulator.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/stats.h"
 #include "dfs/util/table.h"
 #include "dfs/workload/scenarios.h"
@@ -67,7 +68,10 @@ double replay(const std::vector<ReplayTask>& degraded) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::FlagTable flags("fig3_motivating",
+                        "Figure 3: motivating example, replay and schedulers");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Figure 3: motivating example (5 nodes / 2 racks, (4,2) code,"
                " 100 Mbps, node 1 fails)\n";
 

@@ -13,11 +13,15 @@
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/storage/failure.h"
 #include "dfs/storage/layout.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/table.h"
 
 using namespace dfs;
 
-int main() {
+int main(int argc, char** argv) {
+  util::FlagTable flags("fig4_pacing",
+                        "Figure 4: degraded-first pacing on four slaves");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   // Nodes 0,1 in rack A; 2,3 in rack B. Node 0 fails, losing the natives
   // B00, B10, B20; each surviving slave stores three native blocks.
   mapreduce::ClusterConfig cfg;

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "dfs/analysis/model.h"
+#include "dfs/util/flags.h"
 #include "dfs/util/table.h"
 
 using namespace dfs;
@@ -26,7 +27,10 @@ void add_row(util::Table& t, const std::string& label,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::FlagTable flags("fig5_analysis",
+                        "Figure 5: closed-form LF vs DF analysis");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   std::cout << "Figure 5: numerical analysis, normalized runtimes "
                "(failure mode / normal mode)\n"
             << "Defaults: N=40 R=4 L=4 S=128MB W=1Gbps T=20s F=1440 "

@@ -383,7 +383,7 @@ int main(int argc, char** argv) {
   std::optional<std::string> baseline_path;
   double max_regress = 0.25;
   int jobs = runner::default_jobs();
-  int seeds = 0;
+  int seeds = 8;
   util::FlagTable flags("perf_regression",
                         "kernel, network, coding and sweep perf harness");
   flags.toggle("quick", &quick, "smaller workloads (CI-sized)");
@@ -395,9 +395,9 @@ int main(int argc, char** argv) {
   flags.integer("jobs", &jobs, "[1,inf)",
                 "parallel sweep width (default: all)");
   flags.integer("seeds", &seeds, "[1,inf)",
-                "macro sweep cells (0 = 8, quick 4)");
+                "macro sweep cells (quick: 4)");
   if (const auto status = flags.parse(argc, argv)) return *status;
-  if (seeds == 0) seeds = quick ? 4 : 8;
+  if (quick && !flags.given("seeds")) seeds = 4;
 #ifdef __GLIBC__
   // Keep freed memory in the process between reps. Otherwise glibc returns
   // each rep's multi-MiB event slabs to the OS and the next rep pays the

@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "dfs/ec/gf256_kernels_impl.h"
@@ -103,38 +104,60 @@ void avx2_mul_add_region(std::uint8_t* dst, const std::uint8_t* src,
 // Fused multi-source kernel: a 64-byte destination chunk lives in two ymm
 // accumulators across all k coefficient rows, so dst traffic is once per
 // chunk instead of once per source — the encode inner loop of the RS family.
+// Each pass first sorts up to kMaxSourcesPerPass sources into plain XORs
+// (c == 1) and table products (c >= 2), dropping c == 0, and loads every
+// product's nibble tables once; GF addition is XOR, so the order of the
+// terms does not change a byte. More sources take further passes over dst.
+constexpr std::size_t kMaxSourcesPerPass = 16;
+
 void avx2_mul_add_region_multi(std::uint8_t* dst,
                                const std::uint8_t* const* srcs,
                                const std::uint8_t* coeffs, std::size_t count,
                                std::size_t len) {
   const __m256i nibble = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 64 <= len; i += 64) {
-    __m256i acc0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    __m256i acc1 =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i + 32));
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint8_t c = coeffs[j];
-      if (c == 0) continue;
-      const __m256i s0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i));
-      const __m256i s1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(srcs[j] + i + 32));
-      if (c == 1) {
-        acc0 = _mm256_xor_si256(acc0, s0);
-        acc1 = _mm256_xor_si256(acc1, s1);
-        continue;
+  const std::size_t body = len - len % 64;
+  for (std::size_t first = 0; first < count; first += kMaxSourcesPerPass) {
+    const std::size_t last = std::min(count, first + kMaxSourcesPerPass);
+    const std::uint8_t* xors[kMaxSourcesPerPass] = {};
+    const std::uint8_t* muls[kMaxSourcesPerPass] = {};
+    CoeffTables tables[kMaxSourcesPerPass] = {};
+    std::size_t num_xors = 0;
+    std::size_t num_muls = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      if (coeffs[j] == 1) {
+        xors[num_xors++] = srcs[j];
+      } else if (coeffs[j] != 0) {
+        muls[num_muls] = srcs[j];
+        tables[num_muls++] = load_tables(coeffs[j]);
       }
-      const CoeffTables t = load_tables(c);
-      acc0 = _mm256_xor_si256(acc0, mul_block(s0, t, nibble));
-      acc1 = _mm256_xor_si256(acc1, mul_block(s1, t, nibble));
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), acc1);
+    for (std::size_t i = 0; i < body; i += 64) {
+      __m256i acc0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
+      __m256i acc1 =
+          _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i + 32));
+      for (std::size_t j = 0; j < num_xors; ++j) {
+        acc0 = _mm256_xor_si256(
+            acc0,
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xors[j] + i)));
+        acc1 = _mm256_xor_si256(
+            acc1, _mm256_loadu_si256(
+                      reinterpret_cast<const __m256i*>(xors[j] + i + 32)));
+      }
+      for (std::size_t j = 0; j < num_muls; ++j) {
+        const __m256i s0 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(muls[j] + i));
+        const __m256i s1 = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(muls[j] + i + 32));
+        acc0 = _mm256_xor_si256(acc0, mul_block(s0, tables[j], nibble));
+        acc1 = _mm256_xor_si256(acc1, mul_block(s1, tables[j], nibble));
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), acc1);
+    }
   }
-  if (i < len) {
+  if (body < len) {
     for (std::size_t j = 0; j < count; ++j) {
-      avx2_mul_add_region(dst + i, srcs[j] + i, coeffs[j], len - i);
+      avx2_mul_add_region(dst + body, srcs[j] + body, coeffs[j], len - body);
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <emmintrin.h>
 #include <tmmintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "dfs/ec/gf256_kernels_impl.h"
@@ -100,38 +101,61 @@ void ssse3_mul_add_region(std::uint8_t* dst, const std::uint8_t* src,
 
 // Fused multi-source kernel: a 32-byte destination chunk stays in registers
 // while every source's contribution is accumulated into it, so dst is read
-// and written once per chunk instead of once per source.
+// and written once per chunk instead of once per source. Each pass first
+// sorts up to kMaxSourcesPerPass sources into plain XORs (c == 1) and table
+// products (c >= 2), dropping c == 0, and loads every product's nibble
+// tables once; GF addition is XOR, so the order of the terms does not change
+// a byte. More sources take further passes over dst.
+constexpr std::size_t kMaxSourcesPerPass = 16;
+
 void ssse3_mul_add_region_multi(std::uint8_t* dst,
                                 const std::uint8_t* const* srcs,
                                 const std::uint8_t* coeffs, std::size_t count,
                                 std::size_t len) {
   const __m128i nibble = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    __m128i acc0 = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i));
-    __m128i acc1 = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i + 16));
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint8_t c = coeffs[j];
-      if (c == 0) continue;
-      const __m128i s0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[j] + i));
-      const __m128i s1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[j] + i + 16));
-      if (c == 1) {
-        acc0 = _mm_xor_si128(acc0, s0);
-        acc1 = _mm_xor_si128(acc1, s1);
-        continue;
+  const std::size_t body = len - len % 32;
+  for (std::size_t first = 0; first < count; first += kMaxSourcesPerPass) {
+    const std::size_t last = std::min(count, first + kMaxSourcesPerPass);
+    const std::uint8_t* xors[kMaxSourcesPerPass] = {};
+    const std::uint8_t* muls[kMaxSourcesPerPass] = {};
+    CoeffTables tables[kMaxSourcesPerPass] = {};
+    std::size_t num_xors = 0;
+    std::size_t num_muls = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      if (coeffs[j] == 1) {
+        xors[num_xors++] = srcs[j];
+      } else if (coeffs[j] != 0) {
+        muls[num_muls] = srcs[j];
+        tables[num_muls++] = load_tables(coeffs[j]);
       }
-      const CoeffTables t = load_tables(c);
-      acc0 = _mm_xor_si128(acc0, mul_block(s0, t, nibble));
-      acc1 = _mm_xor_si128(acc1, mul_block(s1, t, nibble));
     }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), acc0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), acc1);
+    for (std::size_t i = 0; i < body; i += 32) {
+      __m128i acc0 = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i));
+      __m128i acc1 =
+          _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i + 16));
+      for (std::size_t j = 0; j < num_xors; ++j) {
+        acc0 = _mm_xor_si128(
+            acc0,
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xors[j] + i)));
+        acc1 = _mm_xor_si128(
+            acc1, _mm_loadu_si128(
+                      reinterpret_cast<const __m128i*>(xors[j] + i + 16)));
+      }
+      for (std::size_t j = 0; j < num_muls; ++j) {
+        const __m128i s0 =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(muls[j] + i));
+        const __m128i s1 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(muls[j] + i + 16));
+        acc0 = _mm_xor_si128(acc0, mul_block(s0, tables[j], nibble));
+        acc1 = _mm_xor_si128(acc1, mul_block(s1, tables[j], nibble));
+      }
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), acc0);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), acc1);
+    }
   }
-  if (i < len) {
+  if (body < len) {
     for (std::size_t j = 0; j < count; ++j) {
-      ssse3_mul_add_region(dst + i, srcs[j] + i, coeffs[j], len - i);
+      ssse3_mul_add_region(dst + body, srcs[j] + body, coeffs[j], len - body);
     }
   }
 }

@@ -1,10 +1,11 @@
 #include "dfs/engine/text_jobs.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -12,62 +13,86 @@ namespace dfs::engine {
 
 namespace {
 
-/// WordCount's byte classes: true for a byte that belongs to a word, false
-/// for a delimiter. Indexed by unsigned char, so bytes >= 0x80 are looked up
-/// like any other.
-constexpr std::array<bool, 256> kWordByte = [] {
-  std::array<bool, 256> table{};
-  table.fill(true);
-  for (const unsigned char c : {' ', '\n', '\t', '\r', '\0'}) table[c] = false;
-  return table;
-}();
+/// 16 bytes in one vector register. Comparisons on it compile to the
+/// baseline ISA's byte compares (SSE2 on x86-64, NEON on AArch64); no
+/// target-specific intrinsic or -m flag is involved.
+using Bytes16 = unsigned char __attribute__((vector_size(16)));
+using Words2 = std::uint64_t __attribute__((vector_size(16)));
 
-/// Bit j is set when byte j of the `n` <= 64 bytes at `p` is a word byte.
-std::uint64_t word_mask(const char* p, std::size_t n) {
-  std::uint64_t bits = 0;
-  std::size_t j = 0;
-  // Eight bytes per step, so the inner shifts are constants.
-  for (; j + 8 <= n; j += 8) {
-    std::uint64_t eight = 0;
-    for (std::size_t k = 0; k < 8; ++k) {
-      eight |= std::uint64_t{kWordByte[static_cast<unsigned char>(p[j + k])]}
-               << k;
-    }
-    bits |= eight << j;
-  }
-  for (; j < n; ++j) {
-    bits |= std::uint64_t{kWordByte[static_cast<unsigned char>(p[j])]} << j;
-  }
-  return bits;
+/// Bit j is set when byte j of the 16 at `p` is a word byte, i.e. none of
+/// WordCount's five delimiters. Each byte's compare result (0 or 0xff) is
+/// masked down to bit j % 8; the eight bytes of each half then hold
+/// distinct bits, so multiplying the half by 0x0101...01 adds them, without
+/// carries, into its top byte whatever the byte order.
+std::uint64_t word_mask16(const char* p) {
+  Bytes16 v{};
+  std::memcpy(&v, p, sizeof v);
+  const auto delimiter =
+      (v == ' ') | (v == '\n') | (v == '\t') | (v == '\r') | (v == 0);
+  constexpr Bytes16 kBit = {1, 2, 4, 8, 16, 32, 64, 128,
+                            1, 2, 4, 8, 16, 32, 64, 128};
+  const Words2 halves =
+      reinterpret_cast<Words2>(~reinterpret_cast<Bytes16>(delimiter) & kBit);
+  constexpr std::uint64_t kSumBytes = 0x0101010101010101ULL;
+  return ((halves[0] * kSumBytes) >> 56) |
+         (((halves[1] * kSumBytes) >> 56) << 8);
+}
+
+/// Bit j is set when byte j of the 64 at `p` is a word byte.
+std::uint64_t word_mask64(const char* p) {
+  return word_mask16(p) | word_mask16(p + 16) << 16 |
+         word_mask16(p + 32) << 32 | word_mask16(p + 48) << 48;
+}
+
+/// word_mask64() of the `n` < 64 bytes at `p`, padded with delimiters.
+std::uint64_t word_mask_tail(const char* p, std::size_t n) {
+  char window[64];
+  std::memset(window, ' ', sizeof window);
+  std::memcpy(window, p, n);
+  return word_mask64(window);
 }
 
 /// Calls fn(word) for every maximal run of word bytes, in order. The text is
 /// classified 64 bytes at a time into a bit mask whose set bits are word
-/// bytes; the words are then read off the mask's edges.
+/// bytes; the words are then read off the mask's edges. The last partial
+/// window is copied into a delimiter-padded 64-byte buffer, so one
+/// classifier serves every window and nothing is read past the text.
 template <typename Fn>
 void for_each_word(std::string_view text, Fn&& fn) {
+  const char* const p = text.data();
   const std::size_t n = text.size();
-  bool in_word = false;
-  std::size_t start = 0;  // first byte of the word in progress
+  std::uint64_t in_word = 0;  // 1 while a word runs into the next window
+  std::size_t start = 0;      // first byte of that word
   for (std::size_t base = 0; base < n; base += 64) {
-    const std::size_t len = std::min<std::size_t>(64, n - base);
-    const std::uint64_t word_bits = word_mask(text.data() + base, len);
+    const std::uint64_t word_bits = n - base >= 64
+                                        ? word_mask64(p + base)
+                                        : word_mask_tail(p + base, n - base);
     // Bit j is set where byte j's class differs from the byte before it:
     // starts and ends of words alternate.
     std::uint64_t edges = word_bits ^ ((word_bits << 1) | in_word);
-    if (len < 64) edges &= (std::uint64_t{1} << len) - 1;
-    for (; edges != 0; edges &= edges - 1) {
-      const std::size_t at = base + static_cast<std::size_t>(
-                                        std::countr_zero(edges));
-      if (in_word) {
-        fn(text.substr(start, at - start));
-      } else {
-        start = at;
-      }
-      in_word = !in_word;
+    if (in_word != 0 && edges != 0) {  // the carried word ends here
+      const std::size_t end = base + static_cast<std::size_t>(
+                                         std::countr_zero(edges));
+      fn(std::string_view(p + start, end - start));
+      edges &= edges - 1;
     }
+    // The rest pair up as start, end; an unpaired last start carries over.
+    while (edges != 0) {
+      const std::size_t first = base + static_cast<std::size_t>(
+                                           std::countr_zero(edges));
+      edges &= edges - 1;
+      if (edges == 0) {
+        start = first;
+        break;
+      }
+      const std::size_t end = base + static_cast<std::size_t>(
+                                         std::countr_zero(edges));
+      fn(std::string_view(p + first, end - first));
+      edges &= edges - 1;
+    }
+    in_word = word_bits >> 63;
   }
-  if (in_word) fn(text.substr(start));
+  if (in_word != 0) fn(std::string_view(p + start, n - start));
 }
 
 /// Calls fn(line) for every '\n'-terminated (or trailing) line.
@@ -88,52 +113,78 @@ void for_each_line(std::string_view text, Fn&& fn) {
 class BlockCombiner {
  public:
   explicit BlockCombiner(std::string_view block)
-      : end_(block.data() + block.size()), slots_(kInitialSlots) {}
+      : end_(block.data() + block.size()), slots_(kInitialSlots) {
+    // A slot keeps the key's length in 32 bits.
+    if (block.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("text job block of 4 GiB or more");
+    }
+  }
 
   /// Counts one occurrence of `key`, a view into the block.
   void add(std::string_view key) {
-    const std::uint64_t head =
-        chunk(key.data(), std::min<std::size_t>(key.size(), 8));
-    const std::uint32_t h = hash(key, head);
-    std::size_t i = h & mask();
-    for (; slots_[i].count != 0; i = (i + 1) & mask()) {
+    const char* const p = key.data();
+    const std::size_t n = key.size();
+    const std::uint64_t head = chunk(p, std::min<std::size_t>(n, 8));
+    const std::uint64_t tag = make_tag(n, hash(p, n, head));
+    for (std::size_t i = index(tag);; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
-      if (slot.hash == h && slot.head == head &&
-          same_after_head(slot.key, key)) {
+      if (slot.tag == tag && slot.head == head &&
+          (n <= 8 || std::memcmp(slot.data + 8, p + 8, n - 8) == 0)) {
         ++slot.count;
         return;
       }
+      if (slot.tag == 0) {
+        slot = {p, head, tag, 1};
+        if (++size_ * 2 > slots_.size()) grow();
+        return;
+      }
     }
-    slots_[i] = {key, head, 1, h};
-    if (++size_ * 2 > slots_.size()) grow();
   }
 
   /// The combined counts; call once, after the last add().
   KeyCounts take() {
     const auto used_end =
         std::remove_if(slots_.begin(), slots_.end(),
-                       [](const Slot& s) { return s.count == 0; });
+                       [](const Slot& s) { return s.tag == 0; });
     std::sort(slots_.begin(), used_end,
-              [](const Slot& a, const Slot& b) { return a.key < b.key; });
+              [](const Slot& a, const Slot& b) { return a.key() < b.key(); });
     KeyCounts counts;
     for (auto it = slots_.begin(); it != used_end; ++it) {
-      counts.emplace_hint(counts.end(), it->key, it->count);
+      counts.emplace_hint(counts.end(), it->key(), it->count);
     }
     return counts;
   }
 
  private:
+  /// 32 bytes, so two slots share a cache line.
   struct Slot {
-    std::string_view key;
+    const char* data = nullptr;
     std::uint64_t head = 0;  // chunk() of the key's first eight bytes
-    long count = 0;          // 0 marks an empty slot
-    std::uint32_t hash = 0;
+    std::uint64_t tag = 0;   // make_tag(); 0 marks an empty slot
+    long count = 0;
+
+    std::string_view key() const {
+      return {data, static_cast<std::size_t>(tag >> 32)};
+    }
   };
 
-  static constexpr std::size_t kInitialSlots = 512;
+  static constexpr std::size_t kInitialSlots = 1024;
+  static constexpr unsigned kInitialShift = 32 - 10;
+  static_assert(kInitialSlots == std::size_t{1} << (32 - kInitialShift));
   static constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t kFinalMul = 0xbf58476d1ce4e5b9ULL;
 
-  std::size_t mask() const { return slots_.size() - 1; }
+  /// The key's length in the high half and the hash's top 32 bits, with the
+  /// lowest bit set, in the low half: never 0, so it also marks a used slot.
+  static std::uint64_t make_tag(std::size_t n, std::uint64_t h) {
+    return static_cast<std::uint64_t>(n) << 32 | h >> 32 | 1;
+  }
+
+  /// The slot to probe first: the hash's top bits, which depend on every
+  /// bit of the key's words.
+  std::size_t index(std::uint64_t tag) const {
+    return static_cast<std::uint32_t>(tag) >> shift_;
+  }
 
   /// The `n` <= 8 bytes at `p` as one word, zero-padded. When the block
   /// extends eight bytes from `p` they are read in one load and the bytes
@@ -154,44 +205,36 @@ class BlockCombiner {
     return v;
   }
 
-  /// Hashes the key eight bytes at a time. chunk() zero-pads the last
-  /// word, so equal keys hash equally wherever they sit in the block.
-  std::uint32_t hash(std::string_view key, std::uint64_t head) const {
-    std::uint64_t h = mix(key.size() * kMul, head);
-    for (std::size_t at = 8; at < key.size(); at += 8) {
-      h = mix(h, chunk(key.data() + at,
-                       std::min<std::size_t>(key.size() - at, 8)));
+  /// A key of at most eight bytes hashes as its zero-padded word, xor a
+  /// multiple of its length, times one constant; longer keys mix in eight
+  /// more bytes per step first. chunk() zero-pads the last word, so equal
+  /// keys hash equally wherever they sit in the block.
+  std::uint64_t hash(const char* p, std::size_t n, std::uint64_t head) const {
+    std::uint64_t h = head ^ (n * kMul);
+    for (std::size_t at = 8; at < n; at += 8) {
+      h *= kMul;
+      h ^= (h >> 32) ^ chunk(p + at, std::min<std::size_t>(n - at, 8));
     }
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::uint32_t>(h ^ (h >> 32));
-  }
-
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
-    h = (h ^ word) * kMul;
-    return h ^ (h >> 32);
-  }
-
-  /// Whether two keys whose heads are equal are equal.
-  static bool same_after_head(std::string_view a, std::string_view b) {
-    return a.size() == b.size() &&
-           (a.size() <= 8 ||
-            std::memcmp(a.data() + 8, b.data() + 8, a.size() - 8) == 0);
+    return h * kFinalMul;
   }
 
   void grow() {
     std::vector<Slot> old(slots_.size() * 2);
     old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    --shift_;
     for (const Slot& slot : old) {
-      if (slot.count == 0) continue;
-      std::size_t i = slot.hash & mask();
-      while (slots_[i].count != 0) i = (i + 1) & mask();
+      if (slot.tag == 0) continue;
+      std::size_t i = index(slot.tag);
+      while (slots_[i].tag != 0) i = (i + 1) & mask_;
       slots_[i] = slot;
     }
   }
 
   const char* end_;
   std::vector<Slot> slots_;
+  std::size_t mask_ = kInitialSlots - 1;
+  unsigned shift_ = kInitialShift;
   std::size_t size_ = 0;
 };
 

@@ -18,7 +18,8 @@ class TextJob {
  public:
   virtual ~TextJob() = default;
   virtual std::string name() const = 0;
-  /// Map one input block's text into (key, count) pairs.
+  /// Map one input block's text into (key, count) pairs. Throws
+  /// std::length_error for a block of 4 GiB or more.
   virtual KeyCounts map(std::string_view text) const = 0;
 };
 

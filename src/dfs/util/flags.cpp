@@ -91,6 +91,15 @@ bool parse_whole(const std::string& s, T& out) {
          std::isfinite(static_cast<double>(out));
 }
 
+// A default that its own row would reject is a programming error, caught
+// when the row is registered.
+void check_default(const std::string& name, bool inside,
+                   const std::string& allowed) {
+  if (!inside) {
+    throw std::logic_error("flag --" + name + ": default outside " + allowed);
+  }
+}
+
 // Setter for a scalar target: a whole-token parse inside `bound`.
 template <class T>
 std::function<bool(const std::string&)> scalar(T* target, Bound bound) {
@@ -118,14 +127,18 @@ FlagTable::FlagTable(std::string tool, std::string summary)
 
 void FlagTable::integer(const std::string& name, int* target,
                         const std::string& bound, const std::string& help) {
+  const Bound parsed(bound);
+  check_default(name, parsed.contains(*target), bound);
   rows_.push_back({name, "int", bound, std::to_string(*target), help,
-                   scalar(target, Bound(bound))});
+                   scalar(target, parsed)});
 }
 
 void FlagTable::number(const std::string& name, double* target,
                        const std::string& bound, const std::string& help) {
+  const Bound parsed(bound);
+  check_default(name, parsed.contains(*target), bound);
   rows_.push_back({name, "num", bound, format(*target), help,
-                   scalar(target, Bound(bound))});
+                   scalar(target, parsed)});
 }
 
 void FlagTable::numbers(const std::string& name, std::vector<double>* target,
@@ -133,9 +146,16 @@ void FlagTable::numbers(const std::string& name, std::vector<double>* target,
                         const std::string& help) {
   const std::vector<Bound> parsed(bounds.begin(), bounds.end());
   const bool fixed = bounds.size() > 1;
+  // An empty default means "not given"; any other must be a valid value.
+  const std::string range = join(bounds, "x", same);
+  check_default(name, target->empty() || !fixed ||
+                          target->size() == bounds.size(), range);
+  for (std::size_t i = 0; i < target->size(); ++i) {
+    check_default(name, parsed[fixed ? i : 0].contains((*target)[i]), range);
+  }
   rows_.push_back(
       {name, fixed ? join(bounds, ",", [](auto&) { return "num"; }) : "num,...",
-       join(bounds, "x", same), join(*target, ",", format), help,
+       range, join(*target, ",", format), help,
        [=](const std::string& s) {
          const auto items = split(s, ',');
          if (items.empty() || (fixed && items.size() != bounds.size())) {
@@ -155,8 +175,13 @@ void FlagTable::numbers(const std::string& name, std::vector<double>* target,
 void FlagTable::choice(const std::string& name, std::string* target,
                        const std::vector<std::string>& options,
                        const std::string& help) {
+  const std::string range = join(options, "|", same);
+  check_default(name,
+                std::find(options.begin(), options.end(), *target) !=
+                    options.end(),
+                range);
   rows_.push_back(
-      {name, "choice", join(options, "|", same), *target, help,
+      {name, "choice", range, *target, help,
        [=](const std::string& s) {
          return std::find(options.begin(), options.end(), s) !=
                     options.end() &&
@@ -234,6 +259,13 @@ std::optional<int> FlagTable::parse(int argc, const char* const* argv,
     }
   }
   return std::nullopt;
+}
+
+bool FlagTable::given(const std::string& name) const {
+  const auto row = std::find_if(rows_.begin(), rows_.end(),
+                                [&](const Row& r) { return r.name == name; });
+  if (row == rows_.end()) throw std::logic_error("no flag --" + name);
+  return row->given;
 }
 
 int FlagTable::fail(const std::string& message) const {

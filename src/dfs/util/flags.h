@@ -13,8 +13,10 @@ namespace dfs::util {
 /// holds when the row is registered, so each default lives in one place (the
 /// config struct or the tool's local variable). parse() fills the targets
 /// from argv with one strict rule for every row, and --help is printed from
-/// the rows. Numeric rows take their bound in the interval notation --help
-/// prints: "[1,inf)", "(0,1]", or "0|(1,inf)" for one extra allowed value.
+/// the rows. A default outside its row's bound or options throws
+/// std::logic_error at registration. Numeric rows take their bound in the
+/// interval notation --help prints: "[1,inf)", "(0,1]", or "0|(1,inf)" for
+/// one extra allowed value.
 ///
 ///   int racks = 4;
 ///   FlagTable flags("dfsim", "MapReduce-over-erasure-coding simulator");
@@ -55,6 +57,10 @@ class FlagTable {
   /// 0 after printing --help, 1 after printing an error naming the flag.
   std::optional<int> parse(int argc, const char* const* argv,
                            std::vector<std::string>* positional = nullptr);
+
+  /// Whether parse() saw --name on the command line (std::logic_error if
+  /// no row is named `name`).
+  bool given(const std::string& name) const;
 
   /// Prints "<tool>: <message>" to stderr and returns exit status 1.
   int fail(const std::string& message) const;

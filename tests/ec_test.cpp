@@ -1205,6 +1205,51 @@ TEST_F(GfKernelTest, MultiSourceKernelsMatchSequentialOracle) {
   }
 }
 
+TEST_F(GfKernelTest, MultiSourceKernelsMatchOracleForEverySourceCount) {
+  // The SIMD multi kernels take the sources in passes of at most 16: each
+  // pass sorts its sources into plain XORs (c == 1) and table products,
+  // drops c == 0, and loads every product's tables once. Counts of 0, 1 and
+  // 2, one full pass, and two and three passes; coefficients 0 and 1 at
+  // mixed positions among the products; and one source listed twice.
+  util::Rng rng(81);
+  for (const auto b : usable_backends()) {
+    ASSERT_TRUE(gf256::set_backend(b));
+    for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{63}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{4113}}) {
+      for (const std::size_t count :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+            std::size_t{16}, std::size_t{17}, std::size_t{33},
+            std::size_t{40}}) {
+        std::vector<std::vector<std::uint8_t>> src_bufs;
+        std::vector<const std::uint8_t*> srcs;
+        std::vector<std::uint8_t> coeffs;
+        for (std::size_t j = 0; j < count; ++j) {
+          src_bufs.push_back(random_bytes(rng, len));
+          srcs.push_back(src_bufs.back().data());
+          // A third each of 0, 1 and a product coefficient.
+          const int kind = rng.uniform_int(0, 2);
+          coeffs.push_back(kind < 2 ? static_cast<std::uint8_t>(kind)
+                                    : static_cast<std::uint8_t>(
+                                          rng.uniform_int(2, 255)));
+        }
+        if (count >= 3) srcs[count - 1] = srcs[0];
+        const auto dst0 = random_bytes(rng, len);
+
+        auto got = dst0;
+        gf256::mul_add_region_multi(got.data(), srcs.data(), coeffs.data(),
+                                    count, len);
+        auto want = dst0;
+        for (std::size_t j = 0; j < count; ++j) {
+          oracle_mul_add(want.data(), srcs[j], coeffs[j], len);
+        }
+        ASSERT_EQ(got, want) << gf256::backend_name(b) << " mul_add_multi len="
+                             << len << " count=" << count;
+      }
+    }
+  }
+}
+
 TEST_F(GfKernelTest, BackendsAgreeOnEncode) {
   // End-to-end cross-check: a full RS encode must produce byte-identical
   // parity under every backend (GF arithmetic is exact, so a backend switch

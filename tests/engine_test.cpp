@@ -216,16 +216,20 @@ std::string random_word(std::mt19937_64& rng, std::size_t len) {
   return word;
 }
 
-std::string random_delimiters(std::mt19937_64& rng, int max_run) {
-  std::string run(
-      static_cast<std::size_t>(
-          std::uniform_int_distribution<int>(1, max_run)(rng)),
-      ' ');
+/// `n` delimiters drawn from all five.
+std::string delimiter_run(std::mt19937_64& rng, std::size_t n) {
+  std::string run(n, ' ');
   for (char& c : run) {
     c = kDelimiters[std::uniform_int_distribution<std::size_t>(
         0, kDelimiters.size() - 1)(rng)];
   }
   return run;
+}
+
+std::string random_delimiters(std::mt19937_64& rng, int max_run) {
+  return delimiter_run(rng, static_cast<std::size_t>(
+                                std::uniform_int_distribution<int>(
+                                    1, max_run)(rng)));
 }
 
 TEST(TextJobKernels, EveryByteValueMatchesOracles) {
@@ -314,6 +318,95 @@ TEST(TextJobKernels, ManyDistinctKeysMatchOracles) {
   }
   ASSERT_GE(oracle::word_count(text).size(), 5000u);
   expect_matches_oracles(text, {""});
+}
+
+TEST(TextJobKernels, WordsAtLaneAndWindowEdgesMatchOracles) {
+  // The tokenizer classifies 16-byte lanes of 64-byte windows, and copies
+  // the last partial window into a padded buffer. Words of 1 to 20 bytes
+  // start, then end, one byte before, at and after every lane boundary of
+  // the first two windows, in texts that end on that word (a tail window)
+  // and in texts that run on past the next window.
+  std::mt19937_64 rng(6);
+  for (std::size_t edge = 16; edge <= 128; edge += 16) {
+    for (std::size_t at = edge - 1; at <= edge + 1; ++at) {
+      for (std::size_t len = 1; len <= 20; ++len) {
+        const std::string word = random_word(rng, len);
+        const std::string starts = delimiter_run(rng, at) + word;
+        expect_matches_oracles(starts, {""});
+        expect_matches_oracles(starts + delimiter_run(rng, 1) +
+                                   random_word(rng, 70),
+                               {""});
+        if (at < len) continue;
+        const std::string ends = delimiter_run(rng, at - len) + word;
+        expect_matches_oracles(ends, {""});
+        expect_matches_oracles(ends + delimiter_run(rng, 70), {""});
+      }
+    }
+  }
+}
+
+TEST(TextJobKernels, EveryDelimiterAtEveryLanePositionMatchesOracles) {
+  // One special byte inside an otherwise unbroken word: the five
+  // delimiters split it, '\v', '\f' and 0x80 do not. Lengths of one and
+  // two full windows and of a full window plus a 36-byte tail.
+  std::mt19937_64 rng(7);
+  const std::string specials = kDelimiters + "\v\f\x80";
+  for (const std::size_t len : {64u, 128u, 100u}) {
+    const std::string word = random_word(rng, len);
+    for (const char c : specials) {
+      for (std::size_t pos = 0; pos < len; ++pos) {
+        std::string text = word;
+        text[pos] = c;
+        expect_matches_oracles(text, {std::string(1, c)});
+      }
+    }
+  }
+}
+
+TEST(TextJobKernels, KeysSharingTheirFirst8Or16BytesMatchOracles) {
+  // Keys with equal first eight bytes have equal heads, so only the bytes
+  // after them tell them apart; a shared 16-byte prefix also equalizes the
+  // second hashed word. Suffixes of 0 to 12 bytes, and pairs that differ in
+  // their last byte only.
+  std::mt19937_64 rng(8);
+  std::vector<std::string> keys;
+  for (const std::size_t prefix_len : {8u, 16u}) {
+    const std::string prefix = random_word(rng, prefix_len);
+    for (std::size_t suffix_len = 0; suffix_len <= 12; ++suffix_len) {
+      for (int variant = 0; variant < 4; ++variant) {
+        std::string key = prefix + random_word(rng, suffix_len);
+        keys.push_back(key);
+        if (suffix_len > 0) {
+          key.back() = key.back() == 'a' ? 'b' : 'a';
+          keys.push_back(key);
+        }
+      }
+    }
+  }
+  std::string text;
+  for (int copy = 0; copy < 3; ++copy) {
+    std::shuffle(keys.begin(), keys.end(), rng);
+    for (const std::string& key : keys) {
+      text += key + delimiter_run(rng, 1 + copy);
+    }
+  }
+  expect_matches_oracles(text, {"", keys.front()});
+}
+
+TEST(TextJobKernels, LongWordEndingNearTheBlockEndMatchesOracles) {
+  // A word of 9 to 40 bytes whose last byte is each of the block's last
+  // eight bytes, in blocks of every length modulo 64: the hash's eight-byte
+  // loads must stay inside the block (map_exact lets ASan see past it).
+  std::mt19937_64 rng(9);
+  for (std::size_t lead = 0; lead < 64; ++lead) {
+    for (std::size_t trailing = 0; trailing < 8; ++trailing) {
+      const std::size_t len = 9 + (lead * 8 + trailing) % 32;
+      const std::string text = random_word(rng, lead) + delimiter_run(rng, 1) +
+                               random_word(rng, len) +
+                               delimiter_run(rng, trailing);
+      expect_matches_oracles(text, {""});
+    }
+  }
 }
 
 // --- block store -----------------------------------------------------------------

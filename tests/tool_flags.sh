@@ -1,9 +1,10 @@
 #!/bin/sh
-# Flag-probe gate for dfsim, dfscluster and every bench harness that takes
-# flags, generated from each binary's --help table rather than from a
-# hand-kept list. For every numeric flag it passes nan, a number with
-# trailing junk, a value just outside the printed range, and no value at
-# all; every choice flag gets an unknown option; each tool also gets an
+# Flag-probe gate for dfsim, dfscluster and every bench harness, generated
+# from each binary's --help table rather than from a hand-kept list. Each
+# --help run also registers every row, which throws if a default lies
+# outside its own range. For every numeric flag it passes nan, a number
+# with trailing junk, a value just outside the printed range, and no value
+# at all; every choice flag gets an unknown option; each tool also gets an
 # unknown flag and a stray positional argument. Every probe must exit 1
 # within 10 s with an error on stderr that names the flag (and, for a bad
 # value, its range). The motivating defects are checked by name at the end:
@@ -39,6 +40,10 @@ HARNESSES="fig7_simulation fig8_bdf_edf fig9_testbed table1_breakdown
   ablation_lrc ablation_recovery ablation_repair ablation_replication
   ablation_sources ablation_speculation ablation_tenancy
   cluster_steady_state"
+
+# Harnesses whose only flag is --help: a bad command line must stop them
+# before the experiment prints anything.
+FLAGLESS="fig3_motivating fig4_pacing fig5_analysis ablation_utilization"
 
 # expect_error <tool> <flag> <range|""> [args...]
 expect_error() {
@@ -102,6 +107,38 @@ for tool in dfsim dfscluster perf_regression scale_regression $HARNESSES; do
   expect_error "$tool" stray "" stray
 done
 
+for tool in $FLAGLESS; do
+  if ! timeout 10 "$(bin "$tool")" --help > "$WORK/help"; then
+    echo "FAIL: $tool --help did not exit 0" >&2
+    failures=$((failures + 1))
+  fi
+  for probe in "--no-such-flag 1" stray; do
+    # shellcheck disable=SC2086 # the probe is split into its words
+    expect_error "$tool" "${probe%% *}" "" $probe
+    if [ -s "$WORK/out" ]; then
+      echo "FAIL: $tool $probe: ran the experiment before rejecting it" >&2
+      failures=$((failures + 1))
+    fi
+  done
+done
+
+# dfsec's rows are checked at registration by --help; its subcommands take
+# positional paths, so the probes above do not apply.
+if ! timeout 10 "$(bin dfsec)" --help > "$WORK/help"; then
+  echo "FAIL: dfsec --help did not exit 0" >&2
+  failures=$((failures + 1))
+fi
+
+# A default passed back on the command line is accepted: --tenants 0 is
+# dfscluster's own default ("none").
+probes=$((probes + 1))
+if ! timeout 10 "$(bin dfscluster)" --tenants 0 --hours 0.05 > "$WORK/out" \
+     2> "$WORK/err"; then
+  echo "FAIL: dfscluster --tenants 0 did not run:" >&2
+  cat "$WORK/err" >&2
+  failures=$((failures + 1))
+fi
+
 # The defects that motivated the strict parser, by name.
 expect_error dfscluster --hours "(0,inf)" --hours nan
 expect_error dfsim --heartbeat "(0,inf)" --heartbeat nan
@@ -124,4 +161,4 @@ if [ "$failures" -ne 0 ]; then
   echo "tool_flags: $failures of $probes probes failed" >&2
   exit 1
 fi
-echo "tool_flags: all $probes probes exit 1 and name the flag"
+echo "tool_flags: all $probes probes pass"

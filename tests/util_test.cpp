@@ -716,6 +716,51 @@ TEST(FlagTable, MalformedBoundIsAProgrammingError) {
                std::invalid_argument);
 }
 
+TEST(FlagTable, DefaultOutsideBoundIsAProgrammingError) {
+  FlagTable table("tool", "test tool");
+  int seeds = 0;
+  EXPECT_THROW(table.integer("seeds", &seeds, "[1,inf)", "runs"),
+               std::logic_error);
+  double frac = 1.0;
+  EXPECT_THROW(table.number("frac", &frac, "[0,1)", "share"),
+               std::logic_error);
+  std::vector<double> time{20.0, -1.0};
+  EXPECT_THROW(table.numbers("time", &time, {"(0,inf)", "[0,inf)"}, "MEAN,SD"),
+               std::logic_error);
+  std::vector<double> one{20.0};
+  EXPECT_THROW(table.numbers("one", &one, {"(0,inf)", "[0,inf)"}, "MEAN,SD"),
+               std::logic_error);
+  std::vector<double> shares{1.0, 0.0};
+  EXPECT_THROW(table.numbers("shares", &shares, {"(0,inf)"}, "weights"),
+               std::logic_error);
+  // The one extra point of "0|(1,inf)" and an empty list are valid defaults.
+  double alpha = 0.0;
+  EXPECT_NO_THROW(table.number("alpha", &alpha, "0|(1,inf)", "0 or > 1"));
+  std::vector<double> none;
+  EXPECT_NO_THROW(table.numbers("none", &none, {"(0,inf)"}, "weights"));
+}
+
+TEST(FlagTable, ChoiceDefaultOutsideOptionsIsAProgrammingError) {
+  FlagTable table("tool", "test tool");
+  std::string model = "fare";
+  EXPECT_THROW(table.choice("contention", &model, {"fair", "fifo"}, "model"),
+               std::logic_error);
+  std::string unset;
+  EXPECT_THROW(table.choice("sources", &unset, {"random", "samerack"}, "x"),
+               std::logic_error);
+}
+
+TEST(FlagTable, GivenNamesTheFlagsOnTheCommandLine) {
+  ToolFlags f;
+  std::string err;
+  EXPECT_EQ(f.parse({"--racks", "4", "--speculate"}, &err), -1);
+  // --racks was given with its default value; --heartbeat kept its default.
+  EXPECT_TRUE(f.table.given("racks"));
+  EXPECT_TRUE(f.table.given("speculate"));
+  EXPECT_FALSE(f.table.given("heartbeat"));
+  EXPECT_THROW(static_cast<void>(f.table.given("tpyo")), std::logic_error);
+}
+
 TEST(Jsonl, RecordShapeMatchesInlineStreaming) {
   std::ostringstream os;
   JsonlWriter w(os);

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
                "timeline sampling period, seconds");
   flags.text("speed-profile", &speed_profile,
              "uniform | bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...");
-  flags.integer("tenants", &tenants, "[1,inf)", "tenant classes (0 = none)");
+  flags.integer("tenants", &tenants, "[0,inf)", "tenant classes (0 = none)");
   flags.numbers("tenant-shares", &tenant_shares, {"(0,inf)"},
                 "arrival share per tenant (default: equal)");
   flags.numbers("tenant-scales", &tenant_scales, {"(0,inf)"},
