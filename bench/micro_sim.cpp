@@ -1,4 +1,5 @@
-// Microbenchmarks for the simulation substrate: event-queue throughput,
+// Microbenchmarks for the simulation substrate: event-queue throughput (a
+// schedule-and-drain stream and cluster_scale's heartbeat event mix),
 // flow-level network transfer processing under both contention models, and
 // the cost of a full default-cluster MapReduce simulation run.
 
@@ -9,6 +10,7 @@
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/net/network.h"
 #include "dfs/sim/simulator.h"
+#include "dfs/util/rng.h"
 #include "dfs/workload/scenarios.h"
 
 namespace {
@@ -29,6 +31,34 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           events);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+void BM_EventMixClusterScale(benchmark::State& state) {
+  // cluster_scale's kernel load without the cluster: 2,000 slaves'
+  // heartbeat timers on one 3 s period; about one tick in nine does work,
+  // which here is a zero-delay burst of three events (a network recompute
+  // and its deliveries) and one event at a random later time (a task
+  // completion). Items are dispatched events.
+  constexpr int kTimers = 2000;
+  const double horizon = static_cast<double>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    util::Rng rng(3);
+    for (int i = 0; i < kTimers; ++i) {
+      sim.schedule_periodic(rng.uniform(0.0, 3.0), 3.0, [&] {
+        if (rng.uniform_int(0, 8) == 0) {
+          for (int b = 0; b < 3; ++b) sim.schedule_now([] {});
+          sim.schedule_in(rng.uniform(5.0, 60.0), [] {});
+        }
+        return sim.now() < horizon;
+      });
+    }
+    sim.run();
+    events += sim.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventMixClusterScale)->Arg(300)->Unit(benchmark::kMillisecond);
 
 void network_bench(benchmark::State& state, net::ContentionModel model) {
   const int flows = static_cast<int>(state.range(0));

@@ -21,11 +21,6 @@ constexpr double kSpeculationMinCompletedFraction = 0.1;
 void MapPhase::activate_job(JobState& j) {
   assert(!j.active);
   j.active = true;
-  // Jobs activate in submission (id) order — same-time activations fire
-  // FIFO — so appending keeps the active-jobs index ascending.
-  const core::JobId id = s_.id_of(j);
-  assert(s_.active_jobs.empty() || s_.active_jobs.back() < id);
-  s_.active_jobs.push_back(id);
   // One map task per native block. A task whose input has no surviving
   // readable copy becomes a degraded task (§II-B). For k == 1 layouts
   // (replication), every surviving shard of the stripe is a readable copy,
@@ -66,6 +61,9 @@ void MapPhase::activate_job(JobState& j) {
   }
   j.total_m = blocks;
   j.total_md = j.pending_degraded.live_count();
+  // Jobs activate in submission (id) order — same-time activations fire
+  // FIFO — so appending keeps the active-jobs indexes ascending.
+  s_.index_activated_job(j);
 }
 
 void MapPhase::reclassify_after_failure(JobState& j, NodeId node) {
@@ -264,7 +262,7 @@ void MapPhase::start_map(JobState& j, int map_idx, NodeId s, MapTaskKind kind,
     t.record = record_idx;
     t.launched_kind = kind;
     t.launched_cost = 0.0;  // degraded launches overwrite once planned
-    ++j.m;
+    s_.count_map_launch(j);
     if (kind == MapTaskKind::kDegraded) ++j.md;
     if (j.metrics.first_map_launch < 0.0) {
       j.metrics.first_map_launch = s_.sim.now();
@@ -520,7 +518,7 @@ void MapPhase::try_speculate(NodeId s) {
 }
 
 void MapPhase::unlaunch_map(JobState& j, MapTaskState& t) {
-  --j.m;
+  s_.count_map_unlaunch(j);
   if (t.launched_kind == MapTaskKind::kDegraded) {
     --j.md;
     j.md_cost -= t.launched_cost;

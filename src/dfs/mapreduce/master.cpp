@@ -1,6 +1,7 @@
 #include "dfs/mapreduce/master.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <stdexcept>
 
@@ -121,6 +122,7 @@ void Master::start_heartbeat(NodeId n) {
 }
 
 void Master::on_heartbeat(NodeId s) {
+  assert(state_.scheduling_indexes_consistent());
   state_.slave(s).last_heartbeat = state_.sim.now();
   scheduler_.on_heartbeat(*this, s);
   shuffle_.assign_reduce_tasks(s);
@@ -165,17 +167,14 @@ void Master::on_node_repaired(NodeId node) {
 util::Seconds Master::now() const { return state_.sim.now(); }
 
 const std::vector<core::JobId>& Master::running_jobs_ref() const {
-  // Rebuilt per call into a scratch buffer: the heartbeat path hits this
-  // once per slave per interval, and at 10k slaves an allocation (or an
-  // all-jobs scan — the retired tail dwarfs the active set at steady
-  // state) per call is the dominant scheduler cost.
-  running_jobs_scratch_.clear();
-  for (const core::JobId id : state_.active_jobs) {
-    const JobState& j = state_.job(id);
-    if (j.m < j.total_m) running_jobs_scratch_.push_back(id);
-  }
-  // The scratch arrives in FIFO (submission) order; an installed admission
-  // policy reorders it in place before the scheduler walks it.
+  // Copied per call into a scratch buffer from the incrementally kept
+  // runnable index: the heartbeat path hits this once per slave per
+  // interval, so neither an allocation nor a walk over the active jobs
+  // belongs here. The scratch arrives in FIFO (submission) order; an
+  // installed admission policy reorders it in place before the scheduler
+  // walks it.
+  running_jobs_scratch_.assign(state_.runnable_jobs.begin(),
+                               state_.runnable_jobs.end());
   if (admission_policy_ != nullptr) {
     admission_policy_->order(*this, running_jobs_scratch_);
   }
@@ -318,17 +317,12 @@ util::Seconds Master::degraded_read_threshold() const {
                                   ? state_.cfg.links.rack_down
                                   : util::kUnlimitedBandwidth;
   if (w == util::kUnlimitedBandwidth) return 0.0;
-  // Active-index walk also excludes aborted jobs (retired with their
-  // planner released); a dead job's recovery cost should not pin the
+  // The first runnable job's; the index excludes aborted jobs (retired
+  // with their planner released), whose recovery cost should not pin the
   // threshold anyway.
-  for (const core::JobId id : state_.active_jobs) {
-    const JobState& j = state_.job(id);
-    if (j.m < j.total_m) {
-      return j.planner->expected_cross_rack_blocks() * state_.cfg.block_size /
-             w;
-    }
-  }
-  return 0.0;
+  if (state_.runnable_jobs.empty()) return 0.0;
+  const JobState& j = state_.job(state_.runnable_jobs.front());
+  return j.planner->expected_cross_rack_blocks() * state_.cfg.block_size / w;
 }
 
 RackId Master::rack_of(NodeId s) const {

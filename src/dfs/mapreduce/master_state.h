@@ -281,6 +281,13 @@ struct MasterState {
   /// output is unchanged. Maintained by MapPhase::activate_job and
   /// retire_job.
   std::vector<core::JobId> active_jobs;
+  /// The subset of active_jobs with a map task still to launch (m <
+  /// total_m), ascending: the runnable list every heartbeat hands the
+  /// scheduler. Kept by the count_* calls below and retire_job.
+  std::vector<core::JobId> runnable_jobs;
+  /// Active jobs with at least one unassigned reduce task; while it is 0, a
+  /// heartbeat has no reduce to hand out.
+  long jobs_with_unassigned_reduces = 0;
   std::vector<SlaveState> slaves;
   /// Live map attempts by record index (see AttemptSlab).
   AttemptSlab map_attempts;
@@ -322,10 +329,26 @@ struct MasterState {
   /// Finish the job once the last map and reduce are done.
   void maybe_finish_job(JobState& j);
 
-  /// Drop `id` from active_jobs and release the finished job's scheduling
-  /// pools (see JobState::release_scheduling_state). Called on finish and
-  /// abort; the job must already be marked finished.
+  /// Add the just-activated job `j` (the highest id so far) to the indexes.
+  void index_activated_job(const JobState& j);
+  /// Drop `id` from active_jobs and the runnable indexes and release the
+  /// finished job's scheduling pools (see
+  /// JobState::release_scheduling_state). Called on finish and abort; the
+  /// job must already be marked finished.
   void retire_job(core::JobId id);
+
+  /// ++j.m / --j.m (a map launch and its reversal) and ++/--
+  /// j.reduces_assigned, keeping runnable_jobs and
+  /// jobs_with_unassigned_reduces exact. Jobs already retired leave the
+  /// indexes alone.
+  void count_map_launch(JobState& j);
+  void count_map_unlaunch(JobState& j);
+  void count_reduce_assign(JobState& j);
+  void count_reduce_unassign(JobState& j);
+
+  /// True when runnable_jobs and jobs_with_unassigned_reduces equal a
+  /// recount over active_jobs (checked by debug builds at every heartbeat).
+  bool scheduling_indexes_consistent() const;
 };
 
 }  // namespace dfs::mapreduce

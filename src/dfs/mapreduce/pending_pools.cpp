@@ -2,11 +2,24 @@
 
 namespace dfs::mapreduce {
 
+namespace {
+
+/// Size of a tournament tree over `racks` leaves, padded to a power of two.
+std::size_t leaf_count(int racks) {
+  std::size_t leaves = 1;
+  while (leaves < static_cast<std::size_t>(racks)) leaves *= 2;
+  return leaves;
+}
+
+}  // namespace
+
 PendingPools::PendingPools(const net::Topology& topology)
     : topology_(&topology),
       by_node_(static_cast<std::size_t>(topology.num_nodes())),
       by_rack_(static_cast<std::size_t>(topology.num_racks()), 0),
-      best_(static_cast<std::size_t>(topology.num_racks())) {}
+      best_(static_cast<std::size_t>(topology.num_racks())),
+      tree_(2 * leaf_count(topology.num_racks())),
+      leaves_(leaf_count(topology.num_racks())) {}
 
 std::optional<int> PendingPools::pop(NodeId node) {
   const std::optional<int> task = by_node_[static_cast<std::size_t>(node)].pop();
@@ -26,28 +39,41 @@ void PendingPools::repush(NodeId node, int task) {
 }
 
 void PendingPools::grew(NodeId node) {
-  RackBest& best =
-      best_[static_cast<std::size_t>(topology_->rack_of(node))];
+  const RackId rack = topology_->rack_of(node);
+  RackBest& best = best_[static_cast<std::size_t>(rack)];
   if (best.stale) return;
   const long len = live_count(node);
   if (len > best.len || (len == best.len && node < best.node)) {
     best.node = node;
     best.len = len;
+    mark_dirty(rack);
   }
 }
 
 void PendingPools::shrank(NodeId node) {
   // Another node's shorter queue cannot change the rack's maximum or its
   // lowest-id holder; only the cached best itself going down can.
-  RackBest& best =
-      best_[static_cast<std::size_t>(topology_->rack_of(node))];
-  if (best.node == node) best.stale = true;
+  const RackId rack = topology_->rack_of(node);
+  RackBest& best = best_[static_cast<std::size_t>(rack)];
+  if (best.node == node) {
+    best.stale = true;
+    mark_dirty(rack);
+  }
+}
+
+void PendingPools::mark_dirty(RackId rack) {
+  RackBest& best = best_[static_cast<std::size_t>(rack)];
+  if (best.dirty) return;
+  best.dirty = true;
+  dirty_.push_back(rack);
 }
 
 const PendingPools::RackBest& PendingPools::refresh(RackId rack) {
   RackBest& best = best_[static_cast<std::size_t>(rack)];
   if (best.stale) {
-    best = RackBest{};
+    best.node = -1;
+    best.len = 0;
+    best.stale = false;
     for (const NodeId node : topology_->nodes_in_rack(rack)) {
       const long len = live_count(node);
       if (len > best.len || (len == best.len && len > 0 && node < best.node)) {
@@ -59,21 +85,35 @@ const PendingPools::RackBest& PendingPools::refresh(RackId rack) {
   return best;
 }
 
+void PendingPools::set_leaf(RackId rack, const RackBest& best) {
+  std::size_t i = leaves_ + static_cast<std::size_t>(rack);
+  tree_[i] = Entry{best.len, best.node};
+  for (i /= 2; i >= 1; i /= 2) {
+    const Entry& a = tree_[2 * i];
+    const Entry& b = tree_[2 * i + 1];
+    tree_[i] = (b.len > a.len || (b.len == a.len && b.node < a.node)) ? b : a;
+  }
+}
+
 NodeId PendingPools::best_in_rack(RackId rack) { return refresh(rack).node; }
 
 NodeId PendingPools::best_remote(RackId own_rack) {
-  NodeId best = -1;
-  long best_len = 0;
-  for (RackId rack = 0; rack < static_cast<RackId>(best_.size()); ++rack) {
-    if (rack == own_rack) continue;
-    const RackBest& candidate = refresh(rack);
-    if (candidate.len > best_len ||
-        (candidate.len == best_len && best_len > 0 && candidate.node < best)) {
-      best = candidate.node;
-      best_len = candidate.len;
+  for (const RackId rack : dirty_) {
+    best_[static_cast<std::size_t>(rack)].dirty = false;
+    set_leaf(rack, refresh(rack));
+  }
+  dirty_.clear();
+  // The better of every subtree hanging off the own rack's root path.
+  Entry best;
+  for (std::size_t i = leaves_ + static_cast<std::size_t>(own_rack); i > 1;
+       i /= 2) {
+    const Entry& sibling = tree_[i ^ 1];
+    if (sibling.len > best.len ||
+        (sibling.len == best.len && sibling.node < best.node)) {
+      best = sibling;
     }
   }
-  return best;
+  return best.len > 0 ? best.node : -1;
 }
 
 }  // namespace dfs::mapreduce

@@ -19,9 +19,13 @@ namespace dfs::mapreduce {
 /// with the longest live queue, lowest id on ties. A growing queue updates
 /// it in O(1); a shrinking queue only marks it stale when the shrinking node
 /// was the cached best, and a stale rack is rescanned on its next query.
-/// `best_remote` then walks one entry per rack instead of every node and
-/// returns exactly what the all-node scan returned: the lowest-id node with
-/// the longest live queue outside the caller's rack.
+///
+/// A tournament tree over the racks' cached bests answers `best_remote`.
+/// Racks whose cache changed or went stale since the last `best_remote` are
+/// refreshed and their leaves replayed at the next one; the pick outside the
+/// caller's rack then combines the siblings on its leaf's path to the root,
+/// O(log racks). It returns exactly what the all-node scan returned: the
+/// lowest-id node with the longest live queue outside the caller's rack.
 class PendingPools {
  public:
   PendingPools() = default;
@@ -62,16 +66,29 @@ class PendingPools {
     NodeId node = -1;
     long len = 0;
     bool stale = false;
+    bool dirty = false;  ///< listed in dirty_: its leaf may be out of date
+  };
+  /// A tournament-tree cell: the better of its subtree's leaves.
+  struct Entry {
+    long len = 0;
+    NodeId node = -1;
   };
 
   void grew(NodeId node);
   void shrank(NodeId node);
+  void mark_dirty(RackId rack);
   const RackBest& refresh(RackId rack);
+  void set_leaf(RackId rack, const RackBest& best);
 
   const net::Topology* topology_ = nullptr;
   std::vector<util::StaleQueue<int>> by_node_;
   std::vector<int> by_rack_;
   std::vector<RackBest> best_;  ///< per rack
+  /// Heap-ordered tree: cell i has children 2i and 2i+1, and rack r's leaf
+  /// is cell leaves_ + r (leaves_ a power of two, padding leaves empty).
+  std::vector<Entry> tree_;
+  std::size_t leaves_ = 0;
+  std::vector<RackId> dirty_;  ///< racks to replay at the next best_remote
 };
 
 }  // namespace dfs::mapreduce

@@ -8,7 +8,7 @@ namespace dfs::mapreduce {
 
 void ShufflePhase::assign_reduce_tasks(NodeId s) {
   SlaveState& sl = s_.slave(s);
-  if (sl.blacklisted) return;
+  if (sl.blacklisted || s_.jobs_with_unassigned_reduces == 0) return;
   // Direct walk of the active index is safe: nothing below finishes or
   // aborts a job synchronously (fetch completions arrive as later events).
   for (std::size_t ji = 0;
@@ -31,7 +31,7 @@ void ShufflePhase::assign_reduce_tasks(NodeId s) {
       rt.assigned = true;
       rt.node = s;
       rt.doomed = false;
-      ++j.reduces_assigned;
+      s_.count_reduce_assign(j);
       --sl.free_reduce_slots;
 
       ReduceTaskRecord rec;
@@ -148,7 +148,7 @@ void ShufflePhase::reset_reduce_attempt(JobState& j, int reduce_idx) {
   rt.record = -1;
   rt.inflight_for_each([this](const InflightFetch& f) { s_.net.cancel(f.flow); });
   rt.inflight_clear();
-  --j.reduces_assigned;
+  s_.count_reduce_unassign(j);
 }
 
 }  // namespace dfs::mapreduce

@@ -351,9 +351,81 @@ void Network::fair_share_add(std::uint32_t slot) {
   fair_share_mark_dirty(path);
 }
 
+Network::ClassTable::Cell Network::ClassTable::key_of(const Path& path) {
+  assert(!path.empty());
+  std::array<std::uint64_t, Path::kMaxLinks> lane{};
+  for (int i = 0; i < path.size; ++i) {
+    lane[static_cast<std::size_t>(i)] =
+        static_cast<std::uint32_t>(path[i]) + std::uint64_t{1};
+  }
+  Cell key;
+  key.lo = lane[0] | lane[1] << 32;
+  key.hi = lane[2] | lane[3] << 32;
+  return key;
+}
+
+std::size_t Network::ClassTable::home(const Cell& key) const {
+  const std::uint64_t h =
+      (key.lo ^ (key.hi * 0xc2b2ae3d27d4eb4full)) * 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(h >> shift_);
+}
+
+std::size_t Network::ClassTable::locate(const Cell& key) const {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(key);
+  while (cells_[i].lo != 0 &&
+         (cells_[i].lo != key.lo || cells_[i].hi != key.hi)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+int Network::ClassTable::find(const Path& path) const {
+  if (size_ == 0) return -1;
+  return cells_[locate(key_of(path))].cid;
+}
+
+void Network::ClassTable::insert(const Path& path, int cid) {
+  if (2 * (size_ + 1) > cells_.size()) grow();
+  Cell key = key_of(path);
+  key.cid = cid;
+  const std::size_t i = locate(key);
+  assert(cells_[i].lo == 0);
+  cells_[i] = key;
+  ++size_;
+}
+
+void Network::ClassTable::erase(const Path& path) {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t hole = locate(key_of(path));
+  assert(cells_[hole].lo != 0);
+  // Backward shift: pull each later cell of the probe run into the hole
+  // unless the hole lies before its home, so no tombstones accumulate.
+  for (std::size_t j = (hole + 1) & mask; cells_[j].lo != 0;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(cells_[j]);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      cells_[hole] = cells_[j];
+      hole = j;
+    }
+  }
+  cells_[hole] = Cell{};
+  --size_;
+}
+
+void Network::ClassTable::grow() {
+  std::vector<Cell> old = std::move(cells_);
+  cells_.assign(old.empty() ? 64 : 2 * old.size(), Cell{});
+  shift_ = 64;
+  for (std::size_t n = cells_.size(); n > 1; n /= 2) --shift_;
+  for (const Cell& c : old) {
+    if (c.lo != 0) cells_[locate(c)] = c;
+  }
+}
+
 int Network::fair_share_class_for(const Path& path) {
-  const auto found = class_by_path_.find(path);
-  if (found != class_by_path_.end()) return found->second;
+  const int found = class_by_path_.find(path);
+  if (found >= 0) return found;
   int cid;
   if (!free_classes_.empty()) {
     cid = free_classes_.back();
@@ -372,7 +444,7 @@ int Network::fair_share_class_for(const Path& path) {
     c.link_pos[static_cast<std::size_t>(s)] = static_cast<int>(lc.size());
     lc.emplace_back(cid, s);
   }
-  class_by_path_.emplace(path, cid);
+  class_by_path_.insert(path, cid);
   return cid;
 }
 
@@ -731,7 +803,7 @@ void Network::fair_share_cross_check() {
   }
   // Class invariants: every class is non-empty, its multiplicity counts its
   // members, and the group it offers to new flows is one of its own.
-  for (const auto& [path, cid] : class_by_path_) {
+  class_by_path_.for_each([&](const int cid) {
     const FlowClass& c = classes_[static_cast<std::size_t>(cid)];
     if (c.count <= 0) fail("empty class survived");
     if (c.count != members[static_cast<std::size_t>(cid)]) {
@@ -744,7 +816,7 @@ void Network::fair_share_cross_check() {
          live_cls_[static_cast<std::size_t>(c.join_live)] != cid)) {
       fail("class " + std::to_string(cid) + " offers a foreign group");
     }
-  }
+  });
   // Re-derive every flow's rate with the naive per-flow reference and
   // demand agreement (up to floating-point noise: the reference accumulates
   // link residuals in flow order rather than class order).

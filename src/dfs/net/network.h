@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -189,15 +188,44 @@ class Network {
     }
   };
 
-  struct PathHash {
-    std::size_t operator()(const Path& p) const {
-      std::size_t h = 1469598103934665603ull;
-      for (int v : p) {
-        h ^= static_cast<std::size_t>(static_cast<unsigned>(v));
-        h *= 1099511628211ull;
+  /// Path -> flow class id: a flat open-addressing table (linear probing,
+  /// backward-shift erase, at most half full) keyed by the path's link ids
+  /// packed into two words. One multiply-shift hash and usually one probe
+  /// per lookup; a shuffle fan-out asks it for the same few classes many
+  /// times in a row.
+  class ClassTable {
+   public:
+    /// The class of `path`, or -1.
+    int find(const Path& path) const;
+    /// Maps `path` (not present) to `cid`.
+    void insert(const Path& path, int cid);
+    /// Removes `path` (present).
+    void erase(const Path& path);
+    std::size_t size() const { return size_; }
+    /// Calls `fn(cid)` for every class in the table.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const Cell& c : cells_) {
+        if (c.lo != 0) fn(c.cid);
       }
-      return h;
     }
+
+   private:
+    /// A path's link ids, each plus one, four 32-bit lanes in two words; a
+    /// non-empty path has lo != 0, so lo == 0 marks a free cell.
+    struct Cell {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      int cid = -1;
+    };
+    static Cell key_of(const Path& path);
+    std::size_t home(const Cell& key) const;
+    std::size_t locate(const Cell& key) const;
+    void grow();
+
+    std::vector<Cell> cells_;  ///< power-of-two size, or empty
+    std::size_t size_ = 0;
+    int shift_ = 64;  ///< 64 - log2(cells_.size())
   };
 
   enum class FlowState : std::uint8_t {
@@ -349,7 +377,7 @@ class Network {
   // Flow classes and the class/link sharing graph.
   std::vector<FlowClass> classes_;  ///< slab; free slots on free_classes_
   std::vector<int> free_classes_;
-  std::unordered_map<Path, int, PathHash> class_by_path_;
+  ClassTable class_by_path_;
   /// Per link: (class index, slot of this link in that class's `links`).
   /// The back-reference keeps swap-removal O(1) on class destruction.
   std::vector<std::vector<std::pair<int, int>>> link_classes_;

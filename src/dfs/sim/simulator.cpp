@@ -1,10 +1,23 @@
 #include "dfs/sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace dfs::sim {
+
+void Simulator::Ring::push_back(const Event& ev) {
+  if (size_ == buf_.size()) {
+    std::vector<Event> grown(std::max<std::size_t>(16, buf_.size() * 2));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = buf_[(head_ + i) & mask()];
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & mask()] = ev;
+  ++size_;
+}
 
 std::uint32_t Simulator::allocate_slot(Callback cb) {
   std::uint32_t index;
@@ -33,6 +46,22 @@ void Simulator::release_slot(std::uint32_t index) {
   --pending_;
 }
 
+void Simulator::release_timer(std::uint32_t index) {
+  Timer& timer = timers_[index];
+  assert(timer.next_free == kOccupied);
+  timer.fn = nullptr;
+  timer.next_free = timer_free_;
+  timer_free_ = index;
+}
+
+void Simulator::push(Ring& ring, const Event& ev) {
+  if (!ring.empty() && ring.back().time > ev.time) {
+    heap_.push(ev);
+  } else {
+    ring.push_back(ev);
+  }
+}
+
 EventId Simulator::schedule_in(util::Seconds delay, Callback cb) {
   assert(delay >= 0.0);
   return schedule_at(now_ + delay, std::move(cb));
@@ -42,7 +71,12 @@ EventId Simulator::schedule_at(util::Seconds at, Callback cb) {
   assert(at >= now_);
   const std::uint32_t index = allocate_slot(std::move(cb));
   const std::uint32_t gen = slots_[index].gen;
-  heap_.push(Event{at, next_seq_++, index, gen});
+  const Event ev{at, next_seq_++, index, gen};
+  if (at == now_) {
+    push(now_lane_, ev);
+  } else {
+    heap_.push(ev);
+  }
   return make_id(index, gen);
 }
 
@@ -53,36 +87,89 @@ bool Simulator::cancel(EventId id) {
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
   if (slot.gen != gen || slot.next_free != kOccupied) return false;
-  // The heap entry stays behind as a stale (slot, gen) pair; run() skips it
-  // when it surfaces because the generation no longer matches.
+  // The queue entry stays behind as a stale (slot, gen) pair; run() skips
+  // it when it surfaces because the generation no longer matches.
   release_slot(index);
   return true;
 }
 
 void Simulator::schedule_periodic(util::Seconds phase, util::Seconds period,
                                   std::function<bool()> cb) {
+  assert(phase >= 0.0);
   assert(period > 0.0);
-  // Self-rescheduling closure: each firing re-arms the next one so the
-  // period survives arbitrarily long simulations without pre-populating
-  // the queue.
-  auto driver = std::make_shared<std::function<void()>>();
-  periodic_drivers_.push_back(driver);
-  *driver = [this, period, cb = std::move(cb),
-             weak = std::weak_ptr<std::function<void()>>(driver)]() {
-    if (!cb()) return;
-    if (const auto self = weak.lock()) schedule_in(period, *self);
-  };
-  schedule_in(phase, *driver);
+  std::uint32_t lane = 0;
+  while (lane < lanes_.size() && lanes_[lane].period != period) ++lane;
+  if (lane == lanes_.size()) lanes_.push_back(PeriodLane{period, Ring{}});
+  std::uint32_t index;
+  if (timer_free_ != kFreeListEnd) {
+    index = timer_free_;
+    timer_free_ = timers_[index].next_free;
+  } else {
+    index = static_cast<std::uint32_t>(timers_.size());
+    timers_.emplace_back();
+  }
+  timers_[index] = Timer{std::move(cb), lane, kOccupied};
+  ++pending_;
+  const util::Seconds at = now_ + phase;
+  const Event ev{at, next_seq_++, index, 0};
+  if (at == now_) {
+    push(now_lane_, ev);
+  } else {
+    heap_.push(ev);
+  }
+}
+
+void Simulator::fire_tick(const Event& ev) {
+  --pending_;
+  now_ = ev.time;
+  ++executed_;
+  Timer& timer = timers_[ev.slot];
+  firing_ = ev.slot;
+  const bool again = timer.fn();
+  firing_ = kFreeListEnd;
+  if (again && !firing_cleared_) {
+    // Looked up after the callback: it may have added a lane.
+    PeriodLane& lane = lanes_[timer.lane];
+    ++pending_;
+    push(lane.ring, Event{now_ + lane.period, next_seq_++, ev.slot, 0});
+  } else {
+    release_timer(ev.slot);
+  }
+  firing_cleared_ = false;
 }
 
 util::Seconds Simulator::run(util::Seconds until) {
-  while (!heap_.empty()) {
-    const Event ev = heap_.top();
+  for (;;) {
+    // The least (time, seq) among the heap top and the lane fronts; a null
+    // `from` means the heap.
+    const Event* next = heap_.empty() ? nullptr : &heap_.top();
+    Ring* from = nullptr;
+    const auto consider = [&next, &from](Ring& ring) {
+      if (ring.empty()) return;
+      const Event& ev = ring.front();
+      if (next == nullptr || ev.time < next->time ||
+          (ev.time == next->time && ev.seq < next->seq)) {
+        next = &ev;
+        from = &ring;
+      }
+    };
+    consider(now_lane_);
+    for (PeriodLane& lane : lanes_) consider(lane.ring);
+    if (next == nullptr) break;
+    const Event ev = *next;
     if (until >= 0.0 && ev.time > until) {
       now_ = until;
       return now_;
     }
-    heap_.pop();
+    if (from != nullptr) {
+      from->pop_front();
+    } else {
+      heap_.pop();
+    }
+    if (ev.gen == 0) {
+      fire_tick(ev);
+      continue;
+    }
     Slot& slot = slots_[ev.slot];
     if (slot.gen != ev.gen || slot.next_free != kOccupied) {
       continue;  // cancelled (slot released, possibly recycled since)
@@ -98,10 +185,31 @@ util::Seconds Simulator::run(util::Seconds until) {
 
 void Simulator::clear() {
   while (!heap_.empty()) heap_.pop();
+  now_lane_.clear();
+  for (PeriodLane& lane : lanes_) lane.ring.clear();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].next_free == kOccupied) release_slot(i);
   }
+  // Every live timer but a firing one has exactly one tick pending. A
+  // firing callback must not be destroyed under itself; fire_tick releases
+  // it once it returns.
+  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
+    if (timers_[i].next_free != kOccupied) continue;
+    if (i == firing_) {
+      firing_cleared_ = true;
+      continue;
+    }
+    release_timer(i);
+    assert(pending_ > 0);
+    --pending_;
+  }
   assert(pending_ == 0);
+}
+
+std::size_t Simulator::lane_capacity() const {
+  std::size_t total = now_lane_.capacity();
+  for (const PeriodLane& lane : lanes_) total += lane.ring.capacity();
+  return total;
 }
 
 }  // namespace dfs::sim

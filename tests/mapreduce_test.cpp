@@ -71,19 +71,28 @@ NodeId brute_best(const net::Topology& topo, const std::vector<long>& len,
   return best;
 }
 
-TEST(PendingPools, RandomOpsMatchBruteForceScan) {
-  const net::Topology topo(std::vector<int>{3, 5, 4, 6, 2, 1});
-  const int tasks = 12;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+/// Random repush / invalidate / pop streams against a model of every
+/// queue. After each step every queue length is checked, and best_remote /
+/// best_in_rack are compared with the all-node scans: from every rack when
+/// `every_rack`, otherwise from one random rack (and all racks every 25th
+/// step). With `hot > 0`, half the mutations go to `hot` nodes spread over
+/// the cluster, so queues grow long enough for ties and lead changes.
+void random_ops_match_brute_force(const net::Topology& topo, int tasks,
+                                  std::uint64_t seeds, int steps,
+                                  bool every_rack, int hot) {
+  const int nodes = topo.num_nodes();
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     util::Rng rng(seed);
     PendingPools pools(topo);
     // live[node][task]: the model of which queue entries are live.
-    std::vector<std::vector<bool>> live(
-        static_cast<std::size_t>(topo.num_nodes()),
-        std::vector<bool>(tasks, false));
-    std::vector<long> len(static_cast<std::size_t>(topo.num_nodes()), 0);
-    for (int step = 0; step < 400; ++step) {
-      const NodeId node = rng.uniform_int(0, topo.num_nodes() - 1);
+    std::vector<std::vector<bool>> live(static_cast<std::size_t>(nodes),
+                                        std::vector<bool>(tasks, false));
+    std::vector<long> len(static_cast<std::size_t>(nodes), 0);
+    for (int step = 0; step < steps; ++step) {
+      NodeId node = rng.uniform_int(0, nodes - 1);
+      if (hot > 0 && rng.uniform_int(0, 1) == 0) {
+        node = rng.uniform_int(0, hot - 1) * (nodes / hot);
+      }
       const int task = rng.uniform_int(0, tasks - 1);
       const auto n = static_cast<std::size_t>(node);
       const auto t = static_cast<std::size_t>(task);
@@ -115,14 +124,14 @@ TEST(PendingPools, RandomOpsMatchBruteForceScan) {
           break;
         }
       }
-      for (NodeId v = 0; v < topo.num_nodes(); ++v) {
+      for (NodeId v = 0; v < nodes; ++v) {
         ASSERT_EQ(pools.live_count(v), len[static_cast<std::size_t>(v)]);
       }
       // Query one random rack per step so stale cache entries also meet
       // later mutations, and every rack now and then.
       const RackId probe = rng.uniform_int(0, topo.num_racks() - 1);
       for (RackId r = 0; r < topo.num_racks(); ++r) {
-        if (r != probe && step % 25 != 0) continue;
+        if (!every_rack && r != probe && step % 25 != 0) continue;
         ASSERT_EQ(pools.best_remote(r), brute_best(topo, len, r, false))
             << "seed " << seed << " step " << step << " rack " << r;
         ASSERT_EQ(pools.best_in_rack(r), brute_best(topo, len, r, true))
@@ -130,6 +139,13 @@ TEST(PendingPools, RandomOpsMatchBruteForceScan) {
       }
     }
   }
+}
+
+TEST(PendingPools, RandomOpsMatchBruteForceScan) {
+  random_ops_match_brute_force(net::Topology(std::vector<int>{3, 5, 4, 6, 2, 1}),
+                               12, 20, 400, false, 0);
+  // cluster_scale's shape: 200 racks of 10, every rack queried each step.
+  random_ops_match_brute_force(net::Topology(200, 10), 8, 2, 300, true, 40);
 }
 
 TEST(PendingPools, ReclassifyRoundTripThroughMapPhase) {
