@@ -89,9 +89,9 @@ void PendingPools::set_leaf(RackId rack, const RackBest& best) {
   std::size_t i = leaves_ + static_cast<std::size_t>(rack);
   tree_[i] = Entry{best.len, best.node};
   for (i /= 2; i >= 1; i /= 2) {
-    const Entry& a = tree_[2 * i];
-    const Entry& b = tree_[2 * i + 1];
-    tree_[i] = (b.len > a.len || (b.len == a.len && b.node < a.node)) ? b : a;
+    const Entry& left = tree_[2 * i];
+    const Entry& right = tree_[2 * i + 1];
+    tree_[i] = beats(right, left) ? right : left;
   }
 }
 
@@ -107,11 +107,7 @@ NodeId PendingPools::best_remote(RackId own_rack) {
   Entry best;
   for (std::size_t i = leaves_ + static_cast<std::size_t>(own_rack); i > 1;
        i /= 2) {
-    const Entry& sibling = tree_[i ^ 1];
-    if (sibling.len > best.len ||
-        (sibling.len == best.len && sibling.node < best.node)) {
-      best = sibling;
-    }
+    if (beats(tree_[i ^ 1], best)) best = tree_[i ^ 1];
   }
   return best.len > 0 ? best.node : -1;
 }

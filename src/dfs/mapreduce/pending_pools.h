@@ -73,6 +73,10 @@ class PendingPools {
     long len = 0;
     NodeId node = -1;
   };
+  /// Tournament order: the longer queue, then the lower node id.
+  static bool beats(const Entry& a, const Entry& b) {
+    return a.len > b.len || (a.len == b.len && a.node < b.node);
+  }
 
   void grew(NodeId node);
   void shrank(NodeId node);

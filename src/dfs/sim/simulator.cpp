@@ -62,6 +62,14 @@ void Simulator::push(Ring& ring, const Event& ev) {
   }
 }
 
+void Simulator::enqueue(const Event& ev) {
+  if (ev.time == now_) {
+    push(now_lane_, ev);
+  } else {
+    heap_.push(ev);
+  }
+}
+
 EventId Simulator::schedule_in(util::Seconds delay, Callback cb) {
   assert(delay >= 0.0);
   return schedule_at(now_ + delay, std::move(cb));
@@ -71,12 +79,7 @@ EventId Simulator::schedule_at(util::Seconds at, Callback cb) {
   assert(at >= now_);
   const std::uint32_t index = allocate_slot(std::move(cb));
   const std::uint32_t gen = slots_[index].gen;
-  const Event ev{at, next_seq_++, index, gen};
-  if (at == now_) {
-    push(now_lane_, ev);
-  } else {
-    heap_.push(ev);
-  }
+  enqueue(Event{at, next_seq_++, index, gen});
   return make_id(index, gen);
 }
 
@@ -110,13 +113,7 @@ void Simulator::schedule_periodic(util::Seconds phase, util::Seconds period,
   }
   timers_[index] = Timer{std::move(cb), lane, kOccupied};
   ++pending_;
-  const util::Seconds at = now_ + phase;
-  const Event ev{at, next_seq_++, index, 0};
-  if (at == now_) {
-    push(now_lane_, ev);
-  } else {
-    heap_.push(ev);
-  }
+  enqueue(Event{now_ + phase, next_seq_++, index, 0});
 }
 
 void Simulator::fire_tick(const Event& ev) {

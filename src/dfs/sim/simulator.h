@@ -172,6 +172,8 @@ class Simulator {
   /// Append `ev` to `ring`, or to the heap if that would break the ring's
   /// order (only possible after `run(until)` moved the clock back).
   void push(Ring& ring, const Event& ev);
+  /// Queue a new event: the now-lane if it is due now, else the heap.
+  void enqueue(const Event& ev);
   void fire_tick(const Event& ev);
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
