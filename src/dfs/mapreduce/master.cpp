@@ -106,14 +106,17 @@ void Master::start() {
 
 void Master::start_heartbeat(NodeId n) {
   const util::Seconds phase = rng_.uniform(0.0, state_.cfg.heartbeat_interval);
-  state_.slave(n).last_heartbeat = state_.sim.now();
+  SlaveState& slave = state_.slave(n);
+  slave.last_heartbeat = state_.sim.now();
+  const util::Epoch::Ticket loop = slave.heartbeat_loop.bump();
   state_.sim.schedule_periodic(
-      phase, state_.cfg.heartbeat_interval, [this, n] {
+      phase, state_.cfg.heartbeat_interval, [this, n, loop] {
         if (!admission_open_ && all_jobs_done()) return false;
         // Rearmed by on_node_repaired. A compute-failed slave stops
         // heartbeating immediately even though the master still believes it
         // alive.
-        if (!state_.slave(n).alive || !state_.slave(n).heartbeating) {
+        const SlaveState& sl = state_.slave(n);
+        if (!sl.heartbeat_loop.valid(loop) || !sl.alive || !sl.heartbeating) {
           return false;
         }
         on_heartbeat(n);

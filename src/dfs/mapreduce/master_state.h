@@ -245,6 +245,10 @@ struct SlaveState {
   /// Bumped on repair; pending detection/unblacklist timers armed under an
   /// older incarnation no-op.
   util::Epoch incarnation;
+  /// Bumped by every new heartbeat loop; an older loop stops at its next
+  /// tick (a repair at the failure instant starts a new loop before the old
+  /// one has seen the node dead).
+  util::Epoch heartbeat_loop;
   util::Seconds last_heartbeat = 0.0;
   util::Seconds compute_fail_time = -1.0;
   int recent_failures = 0;  ///< attempt failures since last (un)blacklist

@@ -187,6 +187,43 @@ TEST(Cluster, RepairRestoresFullLocality) {
   EXPECT_EQ(r.count_map_tasks(MapTaskKind::kDegraded), 0);
 }
 
+/// Counts each slave's heartbeats, then schedules like locality-first.
+struct HeartbeatCounter final : core::Scheduler {
+  explicit HeartbeatCounter(int nodes) : beats(static_cast<std::size_t>(nodes)) {}
+  std::string name() const override { return "counter"; }
+  void on_heartbeat(core::SchedulerContext& ctx, net::NodeId slave) override {
+    ++beats[static_cast<std::size_t>(slave)];
+    lf.on_heartbeat(ctx, slave);
+  }
+  core::LocalityFirstScheduler lf;
+  std::vector<int> beats;
+};
+
+TEST(Cluster, SameInstantRepairKeepsOneHeartbeatLoop) {
+  // A failed node that holds no archive blocks has nothing to rebuild, so
+  // the lifecycle repairs it at the failure instant, before its heartbeat
+  // loop has fired and seen it dead. The repair starts a new loop; the old
+  // one must stop at its next tick instead of beating on beside it.
+  OnlineHarness h;
+  HeartbeatCounter counter(h.cfg.topology.num_nodes());
+  mapreduce::Master master(h.sim, *h.net, h.cfg, h.failure, counter, h.rng);
+  master.set_admission_open(true);
+  master.submit(h.job);
+  master.start();
+  h.sim.schedule_at(10.2, [&h, &master] {
+    h.failure.fail(3);
+    master.on_node_failed(3);
+    h.failure.restore(3);
+    master.on_node_repaired(3);
+  });
+  h.sim.run(12.0);
+  counter.beats.assign(counter.beats.size(), 0);
+  h.sim.run(22.0);  // ten heartbeat periods
+  for (net::NodeId n = 0; n < h.cfg.topology.num_nodes(); ++n) {
+    EXPECT_EQ(counter.beats[static_cast<std::size_t>(n)], 10) << "node " << n;
+  }
+}
+
 TEST(Cluster, RepairReclassifiesReplicatedLayouts) {
   // The k == 1 branch of reclassify_after_repair: with a replicated layout
   // the repaired node holds whole copies, not stripe shards, so membership
