@@ -180,18 +180,15 @@ bool cpu_supports(Backend b) {
     case Backend::kScalar:
     case Backend::kTable:
       return true;
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
     case Backend::kSsse3:
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
       return __builtin_cpu_supports("ssse3") != 0;
-#else
-      return false;
-#endif
     case Backend::kAvx2:
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
       return __builtin_cpu_supports("avx2") != 0;
 #else
+    case Backend::kSsse3:
+    case Backend::kAvx2:
       return false;
 #endif
   }

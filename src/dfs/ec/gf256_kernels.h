@@ -17,8 +17,12 @@
 //   table   precomputed 256x256 product table: one load+xor per byte with no
 //           per-call row rebuild. The portable fallback.
 //   ssse3   split nibble tables via PSHUFB, 16 bytes per step.
-//   avx2    split nibble tables via VPSHUFB, 32 bytes per step, with a fused
-//           multi-source path that keeps the destination strip in registers.
+//   avx2    split nibble tables via VPSHUFB, 32 bytes per step.
+//
+// The two SIMD backends are one kernel body (gf256_kernels_simd.h)
+// instantiated per ISA with that ISA's register traits; both keep a
+// two-register destination chunk live across every source of the fused
+// multi-source kernels.
 //
 // Dispatch order is avx2 > ssse3 > table, gated by CPUID at first use. The
 // DFS_GF_BACKEND environment variable (scalar | table | ssse3 | avx2 | auto)

@@ -6,9 +6,11 @@
 #include "dfs/ec/gf256_kernels.h"
 
 // Internal glue between the dispatcher (gf256_kernels.cpp) and the per-ISA
-// translation units (gf256_kernels_ssse3.cpp, gf256_kernels_avx2.cpp), which
-// are compiled with their own -m flags and must not leak intrinsics into the
-// rest of the build.
+// translation units (gf256_kernels_ssse3.cpp, gf256_kernels_avx2.cpp). Those
+// two instantiate the one kernel body in gf256_kernels_simd.h with their own
+// register traits, are compiled with their own -m flags, and export only the
+// vtables below; nothing else they compile may have external linkage (see
+// the linkage rule in gf256_kernels_simd.h).
 
 namespace dfs::ec::gf256::detail {
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "dfs/ec/reed_solomon.h"
+
 namespace dfs::ec {
 
 namespace {
@@ -16,22 +18,15 @@ constexpr unsigned kHalfB = 0x2;
 constexpr unsigned kBothHalves = kHalfA | kHalfB;
 
 Matrix rs_generator(int n, int k) {
-  if (k <= 0 || n <= k) {
-    throw std::invalid_argument("Hitchhiker-XOR requires 0 < k < n");
-  }
-  if (n - k < 2) {
+  // A single parity is a valid RS shape, so this is checked before the
+  // shared generator's n bound.
+  if (0 < k && k < n && n - k < 2) {
     throw std::invalid_argument(
         "Hitchhiker-XOR requires n - k >= 2 (parity 0 carries no piggyback)");
   }
-  if (n > 255) {
-    throw std::invalid_argument("Hitchhiker-XOR over GF(256) requires n <= 255");
-  }
-  const Matrix v = Matrix::vandermonde(n, k);
-  std::vector<int> top(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) top[static_cast<std::size_t>(i)] = i;
-  const auto inv = v.select_rows(top).inverted();
-  if (!inv) throw std::logic_error("Vandermonde top square singular");
-  return v.multiply(*inv);
+  return systematic_vandermonde_generator<GF256Field>(
+      n, k, "Hitchhiker-XOR requires 0 < k < n",
+      "Hitchhiker-XOR over GF(256) requires n <= 255");
 }
 
 int balanced_group_start(int k, int groups, int g) {

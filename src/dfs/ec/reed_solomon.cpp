@@ -7,21 +7,6 @@ namespace dfs::ec {
 
 namespace {
 
-Matrix systematic_vandermonde_generator(int n, int k) {
-  if (k <= 0 || n <= k) {
-    throw std::invalid_argument("Reed-Solomon requires 0 < k < n");
-  }
-  if (n > 255) throw std::invalid_argument("RS over GF(256) requires n <= 255");
-  const Matrix v = Matrix::vandermonde(n, k);
-  std::vector<int> top(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) top[static_cast<std::size_t>(i)] = i;
-  const auto inv = v.select_rows(top).inverted();
-  // A square Vandermonde with distinct evaluation points is always
-  // invertible, so this cannot fail for valid (n, k).
-  if (!inv) throw std::logic_error("Vandermonde top square singular");
-  return v.multiply(*inv);
-}
-
 std::string rs_name(int n, int k) {
   return "RS(" + std::to_string(n) + "," + std::to_string(k) + ")";
 }
@@ -29,7 +14,11 @@ std::string rs_name(int n, int k) {
 }  // namespace
 
 ReedSolomonCode::ReedSolomonCode(int n, int k)
-    : LinearCode(n, k, systematic_vandermonde_generator(n, k), rs_name(n, k)) {}
+    : LinearCode(n, k,
+                 systematic_vandermonde_generator<GF256Field>(
+                     n, k, "Reed-Solomon requires 0 < k < n",
+                     "RS over GF(256) requires n <= 255"),
+                 rs_name(n, k)) {}
 
 std::unique_ptr<ErasureCode> make_reed_solomon(int n, int k) {
   return std::make_unique<ReedSolomonCode>(n, k);

@@ -1,32 +1,17 @@
 #include "dfs/ec/wide_rs.h"
 
-#include <stdexcept>
 #include <string>
+
+#include "dfs/ec/reed_solomon.h"
 
 namespace dfs::ec {
 
-namespace {
-
-BasicMatrix<GF65536Field> wide_generator(int n, int k) {
-  if (k <= 0 || n <= k) {
-    throw std::invalid_argument("Reed-Solomon requires 0 < k < n");
-  }
-  if (n > 65535) {
-    throw std::invalid_argument("wide RS over GF(2^16) requires n <= 65535");
-  }
-  const auto v = BasicMatrix<GF65536Field>::vandermonde(n, k);
-  std::vector<int> top(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) top[static_cast<std::size_t>(i)] = i;
-  const auto inv = v.select_rows(top).inverted();
-  if (!inv) throw std::logic_error("Vandermonde top square singular");
-  return v.multiply(*inv);
-}
-
-}  // namespace
-
 WideReedSolomonCode::WideReedSolomonCode(int n, int k)
     : BasicLinearCode<GF65536Field>(
-          n, k, wide_generator(n, k),
+          n, k,
+          systematic_vandermonde_generator<GF65536Field>(
+              n, k, "Reed-Solomon requires 0 < k < n",
+              "wide RS over GF(2^16) requires n <= 65535"),
           "RS16(" + std::to_string(n) + "," + std::to_string(k) + ")") {}
 
 std::unique_ptr<ErasureCode> make_wide_reed_solomon(int n, int k) {
