@@ -91,13 +91,8 @@ int main(int argc, char** argv) {
   for (net::NodeId n = 0; n < extreme.topology.num_nodes(); ++n) {
     if (extreme.time_scale(n) > 1.0) bad.push_back(n);
   }
-  workload::SimJobOptions ext_opts;
-  ext_opts.num_blocks = 150;
-  ext_opts.map_time = {3.0, 0.2};
-  ext_opts.num_reducers = 0;
-  ext_opts.shuffle_ratio = 0.0;
   run_case("Extreme case (5 bad nodes 10x slower, map-only)", extreme,
-           ext_opts, bad, seeds);
+           workload::extreme_case_job_options(), bad, seeds);
 
   std::cout << "\nExpected: locality preservation recovers the remote tasks "
                "BDF steals; rack awareness\ntrims the degraded-read tail; "

@@ -136,13 +136,9 @@ int main(int argc, char** argv) {
     for (net::NodeId n = 0; n < cfg.topology.num_nodes(); ++n) {
       if (cfg.time_scale(n) > 1.0) bad.push_back(n);
     }
-    workload::SimJobOptions opts;
-    opts.num_blocks = 150;
-    opts.map_time = {3.0, 0.2};
-    opts.num_reducers = 0;
-    opts.shuffle_ratio = 0.0;
     SchemeStats bdf_stats, edf_stats;
-    collect(cfg, opts, bdf_stats, edf_stats, bad);
+    collect(cfg, workload::extreme_case_job_options(), bdf_stats, edf_stats,
+            bad);
     util::Table t({"scheme", "runtime cut vs LF (median)", "(mean)",
                    "remote change vs LF (mean)", "drt cut vs LF (mean)"});
     auto row = [&](const std::string& name, const SchemeStats& st) {

@@ -205,14 +205,13 @@ JobInput make_testbed_job(int id, TestbedJobKind kind,
   return job;
 }
 
-JobInput make_extreme_case_job(int id, const net::Topology& topology,
-                               util::Rng& rng) {
+SimJobOptions extreme_case_job_options() {
   SimJobOptions opts;
   opts.num_blocks = 150;
   opts.map_time = {3.0, 0.2};
   opts.num_reducers = 0;  // map-only (§V-C)
   opts.shuffle_ratio = 0.0;
-  return make_sim_job(id, opts, topology, rng);
+  return opts;
 }
 
 }  // namespace dfs::workload

@@ -103,10 +103,9 @@ const char* to_string(TestbedJobKind kind);
 mapreduce::JobInput make_testbed_job(int id, TestbedJobKind kind,
                                      util::Seconds submit_time = 0.0);
 
-/// The Fig. 8(d) extreme-case job: map-only (no reducers), 150 blocks,
-/// 3 s mean map time (bad nodes run 10x slower via the cluster config).
-mapreduce::JobInput make_extreme_case_job(int id,
-                                          const net::Topology& topology,
-                                          util::Rng& rng);
+/// Options of the Fig. 8(d) extreme-case job (§V-C): map-only (no
+/// reducers), 150 blocks, 3 s mean map time (bad nodes run 10x slower via
+/// the cluster config). Build it with make_sim_job.
+SimJobOptions extreme_case_job_options();
 
 }  // namespace dfs::workload

@@ -186,7 +186,8 @@ TEST(Integration, ExtremeCaseEdfBeatsBdf) {
   double lf_t = 0, bdf_t = 0, edf_t = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     util::Rng rng(seed);
-    auto job = workload::make_extreme_case_job(0, cfg.topology, rng);
+    auto job = workload::make_sim_job(0, workload::extreme_case_job_options(),
+                                      cfg.topology, rng);
     const auto failure =
         storage::single_node_failure_excluding(cfg.topology, rng, bad);
     lf_t += simulate(cfg, {job}, failure, lf, seed).single_job_runtime();

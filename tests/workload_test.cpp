@@ -104,7 +104,8 @@ TEST(Scenarios, TestbedJobsCalibration) {
 TEST(Scenarios, ExtremeJobIsMapOnly) {
   util::Rng rng(3);
   const auto cfg = extreme_sim_cluster();
-  const auto job = make_extreme_case_job(0, cfg.topology, rng);
+  const auto job =
+      make_sim_job(0, extreme_case_job_options(), cfg.topology, rng);
   EXPECT_EQ(job.spec.num_reducers, 0);
   EXPECT_EQ(job.layout->num_native_blocks(), 150);
   EXPECT_DOUBLE_EQ(job.spec.map_time.mean, 3.0);
