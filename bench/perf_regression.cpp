@@ -24,10 +24,12 @@
 //     the report) on machines with fewer than two hardware threads, where
 //     the "speedup" would only measure thread overhead.
 //
-// The JSON report goes to --out (default BENCH_perf.json). With --baseline
-// PATH the run compares its events/sec against the committed baseline and
-// exits 1 if any gated workload regressed by more than --max-regress
-// (default 0.25, i.e. 25%) — the CI perf gate. --help lists every flag.
+// The JSON report goes to --out (default the gitignored BENCH_perf_ci.json;
+// regenerate the committed baseline with --out BENCH_perf.json). With
+// --baseline PATH the run compares its events/sec against the committed
+// baseline and exits 1 if any gated workload regressed by more than
+// --max-regress (default 0.25, i.e. 25%) — the CI perf gate. --help lists
+// every flag.
 
 #include <algorithm>
 #include <cstdint>
@@ -379,7 +381,7 @@ double hedging_rate(int reps, int reads) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_perf.json";
+  std::string out_path = "BENCH_perf_ci.json";
   std::optional<std::string> baseline_path;
   double max_regress = 0.25;
   int jobs = runner::default_jobs();

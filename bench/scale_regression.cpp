@@ -19,11 +19,12 @@
 // Node MTTF is scaled so a handful of failures land inside the window, the
 // same regime as the paper-scale defaults.
 //
-// The JSON report goes to --out (default BENCH_scale.json). With --baseline
-// PATH the run compares its events/sec against the committed baseline and
-// exits 1 if any section regressed by more than --max-regress (default
-// 0.25) — the CI scale gate. With --prev PATH (a report produced by this
-// same harness on an older build) the full section embeds that run's
+// The JSON report goes to --out (default the gitignored BENCH_scale_ci.json;
+// regenerate the committed baseline with --out BENCH_scale.json). With
+// --baseline PATH the run compares its events/sec against the committed
+// baseline and exits 1 if any section regressed by more than --max-regress
+// (default 0.25) — the CI scale gate. With --prev PATH (a report produced by
+// this same harness on an older build) the full section embeds that run's
 // events/sec and the resulting speedup, recording pre/post comparisons
 // measured by the same harness on the same hardware.
 //
@@ -157,7 +158,7 @@ void write_section(std::ostringstream& json, const char* name,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_scale.json";
+  std::string out_path = "BENCH_scale_ci.json";
   std::optional<std::string> baseline_path, prev_path;
   double max_regress = 0.25;
   int seed = 1;

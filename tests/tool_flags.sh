@@ -122,6 +122,21 @@ for tool in $FLAGLESS; do
   done
 done
 
+# The perf harnesses' --out default must not name a committed baseline
+# (BENCH_perf.json, BENCH_scale.json): a gate run given only --quick
+# --baseline would overwrite it with a quick report.
+for tool in perf_regression scale_regression; do
+  probes=$((probes + 1))
+  timeout 10 "$(bin "$tool")" --help > "$WORK/help"
+  out=$(awk '$1 == "--out" { print $4 }' "$WORK/help")
+  case $out in
+    BENCH_*_ci.json) ;;
+    "" | BENCH_*.json)
+      echo "FAIL: $tool --out default '$out' is missing or committed" >&2
+      failures=$((failures + 1)) ;;
+  esac
+done
+
 # dfsec's rows are checked at registration by --help; its subcommands take
 # positional paths, so the probes above do not apply.
 if ! timeout 10 "$(bin dfsec)" --help > "$WORK/help"; then
