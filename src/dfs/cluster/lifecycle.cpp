@@ -1,6 +1,7 @@
 #include "dfs/cluster/lifecycle.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace dfs::cluster {
@@ -122,6 +123,8 @@ void LifecycleDriver::trigger_failure(std::vector<net::NodeId> nodes,
 void LifecycleDriver::on_repair_complete(std::size_t event_index) {
   ActiveEvent& active = *events_[event_index];
   active.event.restore_time = sim_.now();
+  assert(active.event.fail_time <= active.event.repair_start &&
+         active.event.repair_start <= active.event.restore_time);
   active.event.blocks_repaired = active.repair->stats().blocks_repaired;
   active.event.blocks_unrecoverable =
       active.repair->stats().blocks_unrecoverable;

@@ -45,11 +45,8 @@ void RepairProcess::start(std::vector<storage::BlockId> blocks) {
   assert(!started_);
   started_ = true;
   pending_.insert(pending_.end(), blocks.begin(), blocks.end());
-  if (pending_.empty()) {
-    stats_.finish_time = sim_.now();
-    if (on_complete) on_complete();
-    return;
-  }
+  // An empty queue completes in the first launch_next, at the start time
+  // like any other repair.
   sim_.schedule_at(std::max(options_.start_time, sim_.now()), [this] {
     for (int i = 0; i < options_.concurrency; ++i) launch_next();
   });

@@ -75,7 +75,8 @@ class RepairProcess {
     return static_cast<int>(pending_.size() + rebuilds_.size());
   }
 
-  /// Invoked when the last block has been rebuilt.
+  /// Invoked when the last block has been rebuilt, or at the start time when
+  /// there is nothing to rebuild.
   std::function<void()> on_complete;
 
   /// `node`'s storage just failed. Rebuilds ONTO it are abandoned and their

@@ -224,6 +224,44 @@ TEST(Cluster, SameInstantRepairKeepsOneHeartbeatLoop) {
   }
 }
 
+TEST(Cluster, BlocklessNodeStaysDownUntilItsRepairStarts) {
+  // A failed node that holds no archive blocks has nothing to rebuild, but
+  // it still waits out its drawn repair delay: the lifecycle restores it
+  // when its repair starts, not at its failure instant.
+  OnlineHarness h;
+  util::Rng placement(3);
+  // One (8,6) stripe: 8 of the 20 nodes hold an archive block, 12 none.
+  const auto archive = storage::random_rack_constrained_layout(
+      6, 8, 6, h.cfg.topology, placement);
+  const auto code = ec::make_reed_solomon(8, 6);
+  LifecycleOptions lopts;
+  lopts.node_mttf_hours = 0.05;
+  const util::Seconds horizon = 600.0;
+  LifecycleDriver driver(h.sim, *h.net, *h.master, h.failure, archive, *code,
+                         lopts, horizon, h.cfg.block_size, false,
+                         util::Rng(5));
+  h.master->set_admission_open(true);
+  h.master->start();
+  driver.start();
+  h.sim.schedule_at(horizon, [&h] { h.master->finish_admission(); });
+  h.sim.run();
+
+  int blockless = 0;
+  for (const FailureEvent& f : driver.events()) {
+    EXPECT_LE(f.fail_time, f.repair_start);
+    EXPECT_LE(f.repair_start, f.restore_time);
+    const bool holds_blocks =
+        std::any_of(f.nodes.begin(), f.nodes.end(), [&](net::NodeId n) {
+          return !archive.blocks_on_node(n).empty();
+        });
+    if (holds_blocks) continue;
+    ++blockless;
+    EXPECT_EQ(f.restore_time, f.repair_start) << "node " << f.nodes[0];
+  }
+  EXPECT_GT(blockless, 0);
+  EXPECT_TRUE(h.failure.failed_nodes().empty());
+}
+
 TEST(Cluster, RepairReclassifiesReplicatedLayouts) {
   // The k == 1 branch of reclassify_after_repair: with a replicated layout
   // the repaired node holds whole copies, not stripe shards, so membership
