@@ -26,21 +26,6 @@
 
 using namespace dfs;
 
-namespace {
-
-mapreduce::JobInput make_job(std::shared_ptr<const ec::ErasureCode> code,
-                             const net::Topology& topo, util::Rng& rng) {
-  mapreduce::JobInput job;
-  job.spec.id = 0;
-  job.layout = std::make_shared<storage::StorageLayout>(
-      storage::random_rack_constrained_layout(1440, code->n(), code->k(),
-                                              topo, rng));
-  job.code = std::move(code);
-  return job;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   int seeds = 15;
   util::FlagTable flags("ablation_recovery", "repair-efficient code families");
@@ -65,7 +50,7 @@ int main(int argc, char** argv) {
         util::Rng rng(static_cast<std::uint64_t>(s) * 547 + 41);
         std::shared_ptr<const ec::ErasureCode> code =
             ec::make_code_from_spec(spec);
-        const auto job = make_job(code, cfg.topology, rng);
+        const auto job = bench::make_coded_job(code, cfg.topology, rng);
         const auto failure = storage::single_node_failure(cfg.topology, rng);
         const std::uint64_t seed = static_cast<std::uint64_t>(s) + 1;
         const auto failed =

@@ -37,11 +37,7 @@ mapreduce::JobInput make_rep3(const net::Topology& topo, util::Rng& rng) {
 }
 
 mapreduce::JobInput make_rs(const net::Topology& topo, util::Rng& rng) {
-  mapreduce::JobInput job;
-  job.layout = std::make_shared<storage::StorageLayout>(
-      storage::random_rack_constrained_layout(1440, 20, 15, topo, rng));
-  job.code = ec::make_reed_solomon(20, 15);
-  return job;
+  return bench::make_coded_job(ec::make_reed_solomon(20, 15), topo, rng);
 }
 
 }  // namespace

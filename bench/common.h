@@ -2,13 +2,16 @@
 
 // Shared helpers for the figure-reproduction harnesses.
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/core/scheduler.h"
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/storage/failure.h"
+#include "dfs/storage/layout.h"
 #include "dfs/util/flags.h"
 #include "dfs/util/stats.h"
 #include "dfs/util/table.h"
@@ -45,6 +48,20 @@ inline std::vector<std::string> boxplot_cells(const util::BoxPlot& b,
 
 inline std::vector<std::string> boxplot_header(const std::string& label) {
   return {label, "median", "q1", "q3", "lo", "hi", "mean"};
+}
+
+/// The 1440-block §V-B job (default JobSpec) over a fresh random
+/// rack-constrained layout of `code` on `topo`; the layout is the only draw
+/// taken from `rng`.
+inline mapreduce::JobInput make_coded_job(
+    std::shared_ptr<const ec::ErasureCode> code, const net::Topology& topo,
+    util::Rng& rng) {
+  mapreduce::JobInput job;
+  job.layout = std::make_shared<storage::StorageLayout>(
+      storage::random_rack_constrained_layout(1440, code->n(), code->k(), topo,
+                                              rng));
+  job.code = std::move(code);
+  return job;
 }
 
 /// One failure-mode sample: runtime of the (single) job under `sched`,

@@ -213,22 +213,18 @@ void write_cluster_jsonl(std::ostream& os, const ClusterResult& result) {
       .field("warmup", s.warmup)
       .field("horizon", s.horizon)
       .field("jobs_submitted", s.jobs_submitted)
-      .field("jobs_completed", s.jobs_completed);
-  // Gated so fault-off runs stay byte-identical to pre-fault-layer output.
-  if (s.jobs_failed > 0) w.field("jobs_failed", s.jobs_failed);
-  w.field("jobs_measured", s.jobs_measured)
+      .field("jobs_completed", s.jobs_completed)
+      .field("jobs_failed", s.jobs_failed)
+      .field("jobs_measured", s.jobs_measured)
       .field("latency_samples", s.latency_samples)
       .field("latency_p50", s.latency_p50)
       .field("latency_p95", s.latency_p95)
       .field("latency_p99", s.latency_p99)
       .field("latency_mean", s.latency_mean)
       .field("mean_job_runtime", s.mean_job_runtime)
-      .field("degraded_task_fraction", s.degraded_task_fraction);
-  // Gated so default output stays byte-identical to pre-RecoveryPlan runs.
-  if (result.report_recovery_stats) {
-    w.field("mean_degraded_fetch_blocks", s.mean_degraded_fetch_blocks);
-  }
-  w.field("failures_injected", s.failures_injected)
+      .field("degraded_task_fraction", s.degraded_task_fraction)
+      .field("mean_degraded_fetch_blocks", s.mean_degraded_fetch_blocks)
+      .field("failures_injected", s.failures_injected)
       .field("rack_failures", s.rack_failures)
       .field("blocks_repaired", s.blocks_repaired)
       .field("blocks_unrecoverable", s.blocks_unrecoverable)
@@ -236,57 +232,41 @@ void write_cluster_jsonl(std::ostream& os, const ClusterResult& result) {
       .field("mean_rack_down_utilization", s.mean_rack_down_utilization)
       .field("data_loss", s.data_loss ? 1 : 0)
       .end();
-  // Gated behind the tool flag (--net-stats) so default output stays
-  // byte-identical to earlier versions, like jobs_failed above.
-  if (result.report_net_stats) {
-    w.begin("net_stats");
-    net::append_net_stats(w, result.net_stats);
-    w.end();
-  }
-  // Gated on the fetch supervisor having run, so supervisor-off output
-  // stays byte-identical (the strictly-additive contract).
-  if (result.report_hedging) {
-    w.begin("hedging")
-        .field("degraded_read_p50", s.degraded_read_p50)
-        .field("degraded_read_p99", s.degraded_read_p99)
-        .field("degraded_read_p999", s.degraded_read_p999)
-        .field("degraded_read_samples", s.degraded_read_samples)
-        .field("fetch_p50", s.fetch_p50)
-        .field("fetch_p99", s.fetch_p99)
-        .field("fetch_p999", s.fetch_p999)
-        .field("fetch_samples", s.fetch_samples)
-        .field("reads_started", static_cast<long>(s.hedge.reads_started))
-        .field("reads_completed", static_cast<long>(s.hedge.reads_completed))
-        .field("reads_failed", static_cast<long>(s.hedge.reads_failed))
-        .field("fetches_launched",
-               static_cast<long>(s.hedge.fetches_launched))
-        .field("hedges_launched", static_cast<long>(s.hedge.hedges_launched))
-        .field("losers_cancelled",
-               static_cast<long>(s.hedge.losers_cancelled))
-        .field("fetch_timeouts", static_cast<long>(s.hedge.fetch_timeouts))
-        .field("transient_failures",
-               static_cast<long>(s.hedge.transient_failures))
-        .field("fetch_retries", static_cast<long>(s.hedge.fetch_retries))
-        .field("fallback_replans",
-               static_cast<long>(s.hedge.fallback_replans))
-        .field("last_resort_reads",
-               static_cast<long>(s.hedge.last_resort_reads))
+  w.begin("net_stats");
+  net::append_net_stats(w, result.net_stats);
+  w.end();
+  w.begin("hedging")
+      .field("degraded_read_p50", s.degraded_read_p50)
+      .field("degraded_read_p99", s.degraded_read_p99)
+      .field("degraded_read_p999", s.degraded_read_p999)
+      .field("degraded_read_samples", s.degraded_read_samples)
+      .field("fetch_p50", s.fetch_p50)
+      .field("fetch_p99", s.fetch_p99)
+      .field("fetch_p999", s.fetch_p999)
+      .field("fetch_samples", s.fetch_samples)
+      .field("reads_started", static_cast<long>(s.hedge.reads_started))
+      .field("reads_completed", static_cast<long>(s.hedge.reads_completed))
+      .field("reads_failed", static_cast<long>(s.hedge.reads_failed))
+      .field("fetches_launched", static_cast<long>(s.hedge.fetches_launched))
+      .field("hedges_launched", static_cast<long>(s.hedge.hedges_launched))
+      .field("losers_cancelled", static_cast<long>(s.hedge.losers_cancelled))
+      .field("fetch_timeouts", static_cast<long>(s.hedge.fetch_timeouts))
+      .field("transient_failures",
+             static_cast<long>(s.hedge.transient_failures))
+      .field("fetch_retries", static_cast<long>(s.hedge.fetch_retries))
+      .field("fallback_replans", static_cast<long>(s.hedge.fallback_replans))
+      .field("last_resort_reads", static_cast<long>(s.hedge.last_resort_reads))
+      .end();
+  for (const auto& t : s.tenants) {
+    w.begin("tenant")
+        .field("tenant", t.tenant)
+        .field("jobs_measured", t.jobs_measured)
+        .field("latency_samples", t.latency_samples)
+        .field("latency_p50", t.latency_p50)
+        .field("latency_p95", t.latency_p95)
+        .field("latency_p99", t.latency_p99)
+        .field("latency_mean", t.latency_mean)
         .end();
-  }
-  // Gated on the arrival stream having tenant classes, so single-tenant
-  // output stays byte-identical (the strictly-additive contract).
-  if (result.report_tenants) {
-    for (const auto& t : s.tenants) {
-      w.begin("tenant")
-          .field("tenant", t.tenant)
-          .field("jobs_measured", t.jobs_measured)
-          .field("latency_samples", t.latency_samples)
-          .field("latency_p50", t.latency_p50)
-          .field("latency_p95", t.latency_p95)
-          .field("latency_p99", t.latency_p99)
-          .field("latency_mean", t.latency_mean)
-          .end();
-    }
   }
   for (const auto& f : result.failures) {
     w.begin("failure")
@@ -314,9 +294,9 @@ void write_cluster_jsonl(std::ostream& os, const ClusterResult& result) {
       continue;
     }
     w.begin("job").field("id", j.id);
-    // Gated like the "tenant" records: class tags on the job lines only
-    // exist for multi-tenant streams.
-    if (result.report_tenants) w.field("tenant", j.tenant);
+    // Class tags on the job lines only exist for multi-tenant runs, like
+    // the "tenant" records.
+    if (!s.tenants.empty()) w.field("tenant", j.tenant);
     w.field("submit", j.submit_time)
         .field("finish", j.finish_time)
         .field("latency", j.latency())

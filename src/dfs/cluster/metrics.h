@@ -79,10 +79,9 @@ struct SteadyStateSummary {
   /// Mean block equivalents fetched per recoverable degraded read of the
   /// measured jobs (sum of RecoveryPlan source fractions — fractional for
   /// sub-shard codes like Hitchhiker, k for plain RS). 0 when no degraded
-  /// task ran. Only written to JSONL when `report_recovery_stats` is set.
+  /// task ran.
   double mean_degraded_fetch_blocks = 0.0;
-  // --- degraded-read tail latency (only written to JSONL when
-  // `report_hedging` is set) -------------------------------------------------
+  // --- degraded-read tail latency (the JSONL "hedging" record) --------------
   /// Per-task degraded read time (request issue to reconstructability) of
   /// the measured jobs' recoverable degraded tasks.
   double degraded_read_p50 = 0.0;
@@ -96,8 +95,8 @@ struct SteadyStateSummary {
   double fetch_p999 = 0.0;
   int fetch_samples = 0;
   mapreduce::HedgeStats hedge;  ///< fetch-supervisor counters
-  // --- per-tenant latency (multi-tenant streams; only written to JSONL
-  // when `report_tenants` is set) ------------------------------------------
+  // --- per-tenant latency (multi-tenant streams; the JSONL "tenant"
+  // records) ---------------------------------------------------------------
   /// Completion-latency percentiles of one tenant class's measured jobs.
   struct TenantSummary {
     int tenant = 0;
@@ -131,22 +130,8 @@ struct ClusterResult {
   std::vector<TimelineSample> timeline;
   std::vector<FailureEvent> failures;
   /// Network engine counters for the run (flow totals, recompute/fast-path
-  /// breakdown — see net::Network::Stats). Only written to JSONL when
-  /// `report_net_stats` is set, so default output stays byte-identical to
-  /// earlier versions.
+  /// breakdown — see net::Network::Stats); the JSONL "net_stats" record.
   net::Network::Stats net_stats;
-  bool report_net_stats = false;
-  /// Adds the summary's recovery-volume field to JSONL; gated so default
-  /// output stays byte-identical to pre-RecoveryPlan versions.
-  bool report_recovery_stats = false;
-  /// Adds the "hedging" record (degraded-read/fetch tail latencies plus the
-  /// fetch-supervisor counters) to JSONL. Set automatically when the fetch
-  /// supervisor ran; gated so supervisor-off output stays byte-identical.
-  bool report_hedging = false;
-  /// Adds the per-class "tenant" records to JSONL. Set automatically when
-  /// the arrival stream has tenant classes configured; gated so
-  /// single-tenant output stays byte-identical.
-  bool report_tenants = false;
 };
 
 /// Computes the summary from the run's records plus the lifecycle/timeline
@@ -156,9 +141,12 @@ SteadyStateSummary summarize_steady_state(
     const std::vector<TimelineSample>& timeline, util::Seconds warmup,
     util::Seconds horizon);
 
-/// One JSON object per line: a "summary" line, then "failure", "sample" and
-/// measured "job" lines in that order. Deterministic for a given seed —
-/// byte-identical across runs.
+/// One JSON object per line: a "summary", a "net_stats" and a "hedging"
+/// line, one "tenant" line per class of a multi-tenant run, then "failure",
+/// "sample" and measured "job" lines in that order. Every run writes the
+/// same record shape; only the tenant lines and the job lines' "tenant"
+/// field depend on the run (SteadyStateSummary::tenants non-empty).
+/// Deterministic for a given seed — byte-identical across runs.
 void write_cluster_jsonl(std::ostream& os, const ClusterResult& result);
 
 /// CSV of the timeline (one row per sample interval).

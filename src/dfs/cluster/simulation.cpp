@@ -100,8 +100,6 @@ ClusterResult ClusterSimulation::run() {
   result.failures = lifecycle_->events();
   result.timeline = sampler_->samples();
   result.net_stats = net_->stats();
-  result.report_hedging = opts_.config.fetch_supervised();
-  result.report_tenants = !opts_.arrivals.tenants.empty();
   result.summary = summarize_steady_state(result.run, result.failures,
                                           result.timeline, opts_.warmup,
                                           opts_.horizon);

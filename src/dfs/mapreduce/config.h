@@ -112,8 +112,6 @@ struct StragglerConfig {
   /// retried. 0 disables.
   double fail_prob = 0.0;
 
-  bool active() const { return service_mean > 0.0 || fail_prob > 0.0; }
-
   /// Evenly-spaced deterministic straggler choice: node n is a straggler
   /// iff the integer ramp floor((n+1)*S/N) advances at n, where S is the
   /// straggler head count. Spreads stragglers across racks without
@@ -161,12 +159,6 @@ struct ClusterConfig {
   HedgeConfig hedge;
   FetchPolicy fetch;
   StragglerConfig straggler;
-
-  /// A hedge or straggler knob is set: the supervisor then forks its Rng
-  /// from the master's stream, and the tools print the hedging report.
-  bool fetch_supervised() const {
-    return hedge.enabled || straggler.active();
-  }
 
   double time_scale(NodeId node) const {
     if (node_time_scale.empty()) return 1.0;

@@ -7,28 +7,16 @@
 
 namespace dfs::mapreduce {
 
-namespace {
-
-/// The fetch supervisor's stream. With a hedge or straggler knob set it is
-/// forked from the master's stream (knob-on traces depend on that fork).
-/// With every knob off it only ever draws for a fallback replan after a
-/// source dies, and the master's stream must not move: heartbeat phases and
-/// every job's Rng come from it, so a fork here would shift every run's
-/// trace; the supervisor takes a peek_fork that leaves it in place.
-util::Rng supervisor_rng(const ClusterConfig& config, util::Rng& master) {
-  return config.fetch_supervised() ? master.fork() : master.peek_fork();
-}
-
-}  // namespace
-
 Master::Master(sim::Simulator& simulator, net::Network& network,
                const ClusterConfig& config,
                const storage::FailureScenario& failure,
                core::Scheduler& scheduler, util::Rng& rng,
                storage::SourceSelection source_selection,
                storage::RecoveryCostModel cost_model)
-    : state_(simulator, network, config, failure,
-             supervisor_rng(config, rng)),
+    // The supervisor takes a peek_fork, which leaves the master's stream in
+    // place: heartbeat phases and every job's Rng come from that stream, so
+    // hedge and straggler knobs never move them.
+    : state_(simulator, network, config, failure, rng.peek_fork()),
       map_(state_),
       shuffle_(state_),
       fault_(state_),

@@ -1,10 +1,9 @@
 #include "dfs/mapreduce/trace.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
-
-#include "dfs/util/jsonl.h"
 
 namespace dfs::mapreduce {
 
@@ -25,8 +24,10 @@ std::string csv_escape(const std::string& field) {
   return quoted;
 }
 
-void write_map_task_csv(std::ostream& os, const RunResult& result,
-                        bool include_time_scale) {
+void write_map_task_csv(std::ostream& os, const RunResult& result) {
+  const bool include_time_scale =
+      std::any_of(result.map_tasks.begin(), result.map_tasks.end(),
+                  [](const MapTaskRecord& t) { return t.time_scale != 1.0; });
   os << "task_id,job_id,stripe,block_index,kind,exec_node,source_node,"
         "assign_time,fetch_done_time,finish_time,runtime,degraded_sources,"
         "unrecoverable";
@@ -87,48 +88,14 @@ void write_attempt_csv(std::ostream& os, const RunResult& result) {
   }
 }
 
-void write_events_jsonl(std::ostream& os, const RunResult& result) {
-  util::JsonlWriter w(os);
-  for (const auto& t : result.map_tasks) {
-    w.begin("map")
-        .field("id", t.id)
-        .field("job", t.job)
-        .text("kind", to_string(t.kind))
-        .field("node", t.exec_node)
-        .field("assign", t.assign_time)
-        .field("fetch_done", t.fetch_done_time)
-        .field("finish", t.finish_time)
-        .end();
-  }
-  for (const auto& t : result.reduce_tasks) {
-    w.begin("reduce")
-        .field("id", t.id)
-        .field("job", t.job)
-        .field("node", t.exec_node)
-        .field("assign", t.assign_time)
-        .field("shuffle_done", t.shuffle_done_time)
-        .field("finish", t.finish_time)
-        .end();
-  }
-  for (const auto& j : result.jobs) {
-    w.begin("job")
-        .field("id", j.id)
-        .field("submit", j.submit_time)
-        .field("finish", j.finish_time)
-        .field("runtime", j.runtime())
-        .end();
-  }
-}
-
-void write_csv_files(const std::string& prefix, const RunResult& result,
-                     bool include_time_scale) {
+void write_csv_files(const std::string& prefix, const RunResult& result) {
   const auto open = [](const std::string& path) {
     std::ofstream f(path);
     if (!f) throw std::runtime_error("cannot open " + path);
     return f;
   };
   auto maps = open(prefix + "_map_tasks.csv");
-  write_map_task_csv(maps, result, include_time_scale);
+  write_map_task_csv(maps, result);
   auto reduces = open(prefix + "_reduce_tasks.csv");
   write_reduce_task_csv(reduces, result);
   auto jobs = open(prefix + "_jobs.csv");

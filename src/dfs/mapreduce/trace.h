@@ -18,11 +18,10 @@ namespace dfs::mapreduce {
 /// future string column (job names, file paths) from corrupting rows.
 std::string csv_escape(const std::string& field);
 
-/// `include_time_scale` appends a time_scale column (the executing node's
-/// speed factor at assignment — the attempt-trace view of the speed model).
-/// Opt-in so existing trace consumers keep the exact historical columns.
-void write_map_task_csv(std::ostream& os, const RunResult& result,
-                        bool include_time_scale = false);
+/// A time_scale column (the executing node's speed factor at assignment —
+/// the attempt-trace view of the speed model) is appended when some record's
+/// factor is not 1, so uniform-speed traces keep their columns.
+void write_map_task_csv(std::ostream& os, const RunResult& result);
 void write_reduce_task_csv(std::ostream& os, const RunResult& result);
 void write_job_csv(std::ostream& os, const RunResult& result);
 
@@ -32,15 +31,9 @@ void write_job_csv(std::ostream& os, const RunResult& result);
 /// a separate writer so the per-task CSVs above keep their exact columns.
 void write_attempt_csv(std::ostream& os, const RunResult& result);
 
-/// One JSON object per line, mixing task kinds (field "type" discriminates:
-/// "map" / "reduce" / "job").
-void write_events_jsonl(std::ostream& os, const RunResult& result);
-
 /// Writes all three CSVs to `<prefix>_map_tasks.csv`,
 /// `<prefix>_reduce_tasks.csv` and `<prefix>_jobs.csv`. Throws
-/// std::runtime_error if a file cannot be opened. `include_time_scale`
-/// forwards to write_map_task_csv (opt-in speed-factor column).
-void write_csv_files(const std::string& prefix, const RunResult& result,
-                     bool include_time_scale = false);
+/// std::runtime_error if a file cannot be opened.
+void write_csv_files(const std::string& prefix, const RunResult& result);
 
 }  // namespace dfs::mapreduce

@@ -647,8 +647,7 @@ TEST(Cluster, TenantTaggingFollowsSharesAndScales) {
   // job_scale 0.25 on a 240-block template with k=15: 60 native blocks.
   EXPECT_EQ(maps[0] / count[0], 240);
   EXPECT_EQ(maps[1] / count[1], 60);
-  // The summary grew a per-class block and the JSONL gate is armed.
-  EXPECT_TRUE(result.report_tenants);
+  // The summary grew a per-class block, which arms the JSONL tenant lines.
   ASSERT_EQ(result.summary.tenants.size(), 2u);
   EXPECT_EQ(result.summary.tenants[0].tenant, 0);
   EXPECT_EQ(result.summary.tenants[1].tenant, 1);

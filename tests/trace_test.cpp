@@ -77,6 +77,22 @@ TEST(Trace, MapTaskCsvHeaderIsStable) {
             "degraded_sources,unrecoverable\n");
 }
 
+TEST(Trace, MapTaskCsvAddsTimeScaleOnlyWhenSomeFactorIsNotOne) {
+  RunResult r = small_result();
+  std::ostringstream uniform;
+  write_map_task_csv(uniform, r);
+  EXPECT_EQ(uniform.str().find("time_scale"), std::string::npos);
+
+  r.map_tasks[1].time_scale = 2.5;
+  std::ostringstream slow;
+  write_map_task_csv(slow, r);
+  const auto lines = lines_of(slow.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].substr(lines[0].rfind(',')), ",time_scale");
+  EXPECT_EQ(lines[1].substr(lines[1].rfind(',')), ",1");
+  EXPECT_EQ(lines[2].substr(lines[2].rfind(',')), ",2.5");
+}
+
 TEST(Trace, ReduceTaskCsvHeaderIsStable) {
   std::ostringstream os;
   write_reduce_task_csv(os, RunResult{});
@@ -128,45 +144,6 @@ TEST(Trace, MapTaskKindFieldSurvivesEscaping) {
   EXPECT_NE(os.str().find(",node-local,"), std::string::npos);
   EXPECT_NE(os.str().find(",degraded,"), std::string::npos);
   EXPECT_EQ(os.str().find('"'), std::string::npos);
-}
-
-// --- JSONL well-formedness ----------------------------------------------------
-
-TEST(Trace, EventsJsonlEmitsOneObjectPerLine) {
-  const RunResult r = small_result();
-  std::ostringstream os;
-  write_events_jsonl(os, r);
-  ASSERT_FALSE(os.str().empty());
-  EXPECT_EQ(os.str().back(), '\n');
-  const auto lines = lines_of(os.str());
-  ASSERT_EQ(lines.size(),
-            r.map_tasks.size() + r.reduce_tasks.size() + r.jobs.size());
-  for (const auto& line : lines) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    // No nested objects and balanced quoting: every brace is the outer pair
-    // and quotes come in pairs.
-    EXPECT_EQ(std::count(line.begin(), line.end(), '{'), 1) << line;
-    EXPECT_EQ(std::count(line.begin(), line.end(), '}'), 1) << line;
-    EXPECT_EQ(std::count(line.begin(), line.end(), '"') % 2, 0) << line;
-    EXPECT_NE(line.find("\"type\":"), std::string::npos) << line;
-  }
-}
-
-TEST(Trace, EventsJsonlTypeFieldsDiscriminate) {
-  std::ostringstream os;
-  write_events_jsonl(os, small_result());
-  const auto lines = lines_of(os.str());
-  int maps = 0, reduces = 0, jobs = 0;
-  for (const auto& line : lines) {
-    if (line.find("\"type\":\"map\"") != std::string::npos) ++maps;
-    if (line.find("\"type\":\"reduce\"") != std::string::npos) ++reduces;
-    if (line.find("\"type\":\"job\"") != std::string::npos) ++jobs;
-  }
-  EXPECT_EQ(maps, 2);
-  EXPECT_EQ(reduces, 1);
-  EXPECT_EQ(jobs, 1);
 }
 
 }  // namespace

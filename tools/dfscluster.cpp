@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   std::string scheduler_flag = "df", arrivals = "poisson",
               speed_profile = "uniform";
   std::optional<std::string> jsonl_path, csv_path, attempts_csv_path;
-  bool net_stats = false, recovery_stats = false;
   cluster::ArrivalOptions& arr = opts.arrivals;
   cluster::LifecycleOptions& life = opts.lifecycle;
   mapreduce::FaultConfig& fault = opts.config.fault;
@@ -98,9 +97,6 @@ int main(int argc, char** argv) {
   flags.text("admission", &opts.admission, "fifo | fair | fair:w0,w1,...");
   flags.number("skew", &arr.job.skew, "[0,inf)", "Zipf skew, rack 0 hottest");
   flags.text("jsonl", &jsonl_path, "write the full run as JSON lines");
-  flags.toggle("net-stats", &net_stats, "add net_stats JSONL records");
-  flags.toggle("recovery-stats", &recovery_stats,
-               "report mean degraded fetch blocks per read");
   flags.text("csv", &csv_path, "write the sampled timeline as CSV");
   // Fault layer: inert unless --faults is given.
   flags.toggle("faults", &fault.compute_failures, "failures kill TaskTrackers");
@@ -117,8 +113,7 @@ int main(int argc, char** argv) {
   flags.number("blacklist-duration", &fault.blacklist_duration, "[0,inf)",
                "blacklist residence time, seconds");
   flags.text("attempts-csv", &attempts_csv_path, "write attempt trace CSV");
-  // Hedged degraded reads and storage fault injection. The hedging report
-  // prints when --hedge > 0 or a straggler jitter/fail-prob is nonzero.
+  // Hedged degraded reads and storage fault injection.
   flags.integer("hedge", &hedge_extras, "[0,inf)", "hedge fetches per read");
   flags.integer("hedge-quorum", &hedge.min_quorum, "[0,inf)",
                 "completed fetches required for a quorum (0 = coverage)");
@@ -210,8 +205,6 @@ int main(int argc, char** argv) {
           cluster::ClusterSimulation simulation(opts, *sched, cell_seed);
           SeedOutcome out;
           out.result = simulation.run();
-          out.result.report_net_stats = net_stats;
-          out.result.report_recovery_stats = recovery_stats;
           const auto& s = out.result.summary;
           std::ostringstream rep;
           rep << "dfscluster: scheduler=" << sched->name()
@@ -219,17 +212,11 @@ int main(int argc, char** argv) {
               << " horizon=" << util::Table::num(opts.horizon / 3600.0, 2)
               << "h warmup=" << util::Table::num(opts.warmup, 0)
               << "s seed=" << cell_seed << '\n';
-          // Extra config line only when some heterogeneity / tenancy /
-          // skew knob is active, so default reports keep their old shape.
-          if (opts.admission != "fifo" || !opts.speed.uniform() ||
-              !opts.arrivals.tenants.empty() ||
-              opts.arrivals.job.skew > 0.0) {
-            rep << "config: admission=" << opts.admission
-                << " speed=" << opts.speed.describe()
-                << " tenants=" << opts.arrivals.tenants.size()
-                << " skew=" << util::Table::num(opts.arrivals.job.skew, 2)
-                << '\n';
-          }
+          rep << "config: admission=" << opts.admission
+              << " speed=" << opts.speed.describe()
+              << " tenants=" << opts.arrivals.tenants.size()
+              << " skew=" << util::Table::num(opts.arrivals.job.skew, 2)
+              << '\n';
           rep << "jobs: " << s.jobs_submitted << " submitted, "
               << s.jobs_completed << " completed, " << s.jobs_measured
               << " in the measurement window\n";
@@ -245,23 +232,18 @@ int main(int argc, char** argv) {
                          util::Table::num(s.mean_job_runtime, 1)});
           table.add_row({"degraded task fraction",
                          util::Table::pct(s.degraded_task_fraction * 100.0, 2)});
-          if (recovery_stats) {
-            table.add_row({"degraded fetch (blocks/read)",
-                           util::Table::num(s.mean_degraded_fetch_blocks, 2)});
-          }
-          if (opts.config.fetch_supervised()) {
-            table.add_row({"degraded read p50 (s)",
-                           util::Table::num(s.degraded_read_p50, 2)});
-            table.add_row({"degraded read p99 (s)",
-                           util::Table::num(s.degraded_read_p99, 2)});
-            table.add_row({"degraded read p999 (s)",
-                           util::Table::num(s.degraded_read_p999, 2)});
-            table.add_row({"degraded read samples",
-                           std::to_string(s.degraded_read_samples)});
-            table.add_row({"fetch p99 (s)", util::Table::num(s.fetch_p99, 2)});
-            table.add_row({"fetch samples",
-                           std::to_string(s.fetch_samples)});
-          }
+          table.add_row({"degraded fetch (blocks/read)",
+                         util::Table::num(s.mean_degraded_fetch_blocks, 2)});
+          table.add_row({"degraded read p50 (s)",
+                         util::Table::num(s.degraded_read_p50, 2)});
+          table.add_row({"degraded read p99 (s)",
+                         util::Table::num(s.degraded_read_p99, 2)});
+          table.add_row({"degraded read p999 (s)",
+                         util::Table::num(s.degraded_read_p999, 2)});
+          table.add_row({"degraded read samples",
+                         std::to_string(s.degraded_read_samples)});
+          table.add_row({"fetch p99 (s)", util::Table::num(s.fetch_p99, 2)});
+          table.add_row({"fetch samples", std::to_string(s.fetch_samples)});
           table.add_row({"failures injected",
                          std::to_string(s.failures_injected) + " (" +
                              std::to_string(s.rack_failures) + " rack)"});
@@ -272,7 +254,7 @@ int main(int argc, char** argv) {
                          util::Table::pct(s.mean_rack_down_utilization * 100.0,
                                           1)});
           rep << table;
-          if (!opts.arrivals.tenants.empty()) {
+          if (!s.tenants.empty()) {
             util::Table tt({"tenant", "measured", "p50 (s)", "p95 (s)",
                             "p99 (s)", "mean (s)"});
             for (const auto& t : s.tenants) {
@@ -285,33 +267,28 @@ int main(int argc, char** argv) {
             }
             rep << "per-tenant latency:\n" << tt;
           }
-          if (opts.config.fault.compute_failures) {
-            const auto& run = out.result.run;
-            rep << "faults: "
-                << run.count_map_attempts(mapreduce::AttemptOutcome::kKilled) +
-                       run.count_reduce_attempts(
-                           mapreduce::AttemptOutcome::kKilled)
-                << " attempts killed, "
-                << run.count_map_attempts(mapreduce::AttemptOutcome::kFailed) +
-                       run.count_reduce_attempts(
-                           mapreduce::AttemptOutcome::kFailed)
-                << " failed, " << run.blacklist_events
-                << " blacklist events, " << run.jobs_failed()
-                << " jobs aborted\n";
-            rep << "faults: " << run.detections.size()
-                << " slave deaths detected, mean detection latency "
-                << util::Table::num(run.mean_detection_latency(), 1) << " s\n";
-          }
-          if (opts.config.fetch_supervised()) {
-            const auto& h = s.hedge;
-            rep << "hedging: " << h.reads_started << " reads supervised, "
-                << h.hedges_launched << " hedges launched, "
-                << h.losers_cancelled << " losers cancelled, "
-                << h.fetch_timeouts << " timeouts, " << h.transient_failures
-                << " transient failures, " << h.fetch_retries << " retries, "
-                << h.fallback_replans << " fallback replans, "
-                << h.last_resort_reads << " last-resort reads\n";
-          }
+          const auto& run = out.result.run;
+          rep << "faults: "
+              << run.count_map_attempts(mapreduce::AttemptOutcome::kKilled) +
+                     run.count_reduce_attempts(
+                         mapreduce::AttemptOutcome::kKilled)
+              << " attempts killed, "
+              << run.count_map_attempts(mapreduce::AttemptOutcome::kFailed) +
+                     run.count_reduce_attempts(
+                         mapreduce::AttemptOutcome::kFailed)
+              << " failed, " << run.blacklist_events << " blacklist events, "
+              << run.jobs_failed() << " jobs aborted\n";
+          rep << "faults: " << run.detections.size()
+              << " slave deaths detected, mean detection latency "
+              << util::Table::num(run.mean_detection_latency(), 1) << " s\n";
+          const auto& h = s.hedge;
+          rep << "hedging: " << h.reads_started << " reads supervised, "
+              << h.hedges_launched << " hedges launched, "
+              << h.losers_cancelled << " losers cancelled, "
+              << h.fetch_timeouts << " timeouts, " << h.transient_failures
+              << " transient failures, " << h.fetch_retries << " retries, "
+              << h.fallback_replans << " fallback replans, "
+              << h.last_resort_reads << " last-resort reads\n";
           std::ostringstream warn;
           if (s.blocks_unrecoverable > 0) {
             warn << "warning: " << s.blocks_unrecoverable
@@ -325,8 +302,7 @@ int main(int argc, char** argv) {
             if (seeds > 1) warn << " (seed " << cell_seed << ")";
             warn << '\n';
           }
-          if (opts.config.fetch_supervised() && s.degraded_read_samples > 0 &&
-              s.degraded_read_samples < 10) {
+          if (s.degraded_read_samples > 0 && s.degraded_read_samples < 10) {
             warn << "warning: degraded-read p99 rests on only "
                  << s.degraded_read_samples << " samples";
             if (seeds > 1) warn << " (seed " << cell_seed << ")";

@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
   std::vector<double> map_time{spec.map_time.mean, spec.map_time.stddev};
   std::vector<double> reduce_time{spec.reduce_time.mean,
                                   spec.reduce_time.stddev};
-  bool show_recovery_stats = false, normalize = false,
-       show_utilization = false, show_net_stats = false;
+  bool show_stats = false, normalize = false, show_utilization = false;
   std::optional<std::string> csv_prefix;
 
   util::FlagTable flags("dfsim", "MapReduce-over-erasure-coding simulator");
@@ -87,8 +86,6 @@ int main(int argc, char** argv) {
                "fullshard: whole-block sources only, no sub-shard reads");
   flags.number("cross-rack-cost", &cost_model.cross_rack_weight, "(0,inf)",
                "planner weight of a cross-rack fetch");
-  flags.toggle("recovery-stats", &show_recovery_stats,
-               "print recovery_stats JSON lines (degraded fetch volume)");
   flags.text("speed-profile", &speed_profile,
              "uniform | bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...");
   flags.number("skew", &skew, "[0,inf)", "Zipf exponent, rack 0 hottest");
@@ -98,7 +95,8 @@ int main(int argc, char** argv) {
                 "background repair concurrency (0 = off)");
   flags.toggle("utilization", &show_utilization,
                "print seed 0's rack-downlink utilization timeline");
-  flags.toggle("net-stats", &show_net_stats, "print net_stats JSON lines");
+  flags.toggle("stats", &show_stats,
+               "print net_stats and recovery_stats JSON lines");
   flags.text("csv", &csv_prefix, "write per-task/job CSVs of seed 0");
   flags.toggle("normalize", &normalize, "also run failure-free; report ratios");
   if (const auto status = flags.parse(argc, argv)) return *status;
@@ -260,20 +258,14 @@ int main(int argc, char** argv) {
                 << " speculative attempts (" << result.speculative_losses()
                 << " wasted)\n";
           }
-          // Gated behind --net-stats so default output stays byte-identical
-          // to earlier versions. One JSON line per seed, emitted in seed
-          // order via the buffered cell log.
-          if (show_net_stats) {
-            const net::Network::Stats ns = simulation.network().stats();
+          // --stats: two JSON lines per seed, emitted in seed order via the
+          // buffered cell log — the network engine's counters, then the
+          // degraded fetch volume in block units.
+          if (show_stats) {
             util::JsonlWriter w(log);
             w.begin("net_stats").field("seed", s);
-            net::append_net_stats(w, ns);
+            net::append_net_stats(w, simulation.network().stats());
             w.end();
-          }
-          // Gated behind --recovery-stats (same buffering contract as
-          // --net-stats): degraded fetch volume in block units.
-          if (show_recovery_stats) {
-            util::JsonlWriter w(log);
             w.begin("recovery_stats")
                 .field("seed", s)
                 .field("degraded_tasks", m.degraded_tasks)
@@ -294,10 +286,7 @@ int main(int argc, char** argv) {
                  << " had unrecoverable blocks (data loss)\n";
           }
           if (s == 0 && csv_prefix) {
-            // Non-uniform speed profiles opt the map-task CSV into the
-            // time_scale column; default traces keep their exact columns.
-            mapreduce::write_csv_files(*csv_prefix, result,
-                                       !speed.uniform());
+            mapreduce::write_csv_files(*csv_prefix, result);
           }
           out.log = log.str();
           out.warn = warn.str();
