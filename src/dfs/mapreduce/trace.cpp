@@ -25,13 +25,13 @@ std::string csv_escape(const std::string& field) {
 }
 
 void write_map_task_csv(std::ostream& os, const RunResult& result) {
-  const bool include_time_scale =
+  const bool any_scaled =
       std::any_of(result.map_tasks.begin(), result.map_tasks.end(),
                   [](const MapTaskRecord& t) { return t.time_scale != 1.0; });
   os << "task_id,job_id,stripe,block_index,kind,exec_node,source_node,"
         "assign_time,fetch_done_time,finish_time,runtime,degraded_sources,"
         "unrecoverable";
-  if (include_time_scale) os << ",time_scale";
+  if (any_scaled) os << ",time_scale";
   os << '\n';
   for (const auto& t : result.map_tasks) {
     os << t.id << ',' << t.job << ',' << t.block.stripe << ','
@@ -40,7 +40,7 @@ void write_map_task_csv(std::ostream& os, const RunResult& result) {
        << ',' << t.source_node << ',' << t.assign_time << ','
        << t.fetch_done_time << ',' << t.finish_time << ',' << t.runtime()
        << ',' << t.sources.size() << ',' << (t.unrecoverable ? 1 : 0);
-    if (include_time_scale) os << ',' << t.time_scale;
+    if (any_scaled) os << ',' << t.time_scale;
     write_row_end(os);
   }
 }
